@@ -145,7 +145,7 @@ def alpha_beta(act: Activation, gamma: float, bias: BiasDistribution,
     """
     kinks = _kink_locator(act, a)
     alpha, _ = numerics.expectation_2d_adaptive(
-        lambda zeta, b: act.derivative(zeta * a + b) ** 2 + 0.0 * zeta,
+        lambda zeta, b: act.derivative(zeta * a + b) ** 2,
         gamma, bias, kinks)
     beta, _ = numerics.expectation_2d_adaptive(
         lambda zeta, b: (zeta**2 - gamma**2) * act.derivative(zeta * a + b) ** 2,
@@ -234,9 +234,8 @@ def hessian_lipschitz_oracle(kernel: ShiftInvariantKernel,
     def kappa(delta):
         return kappa_eval(kernel, delta)
 
-    rich = numerics.hessian_fd(kappa, kernel.d, h)
+    rich, coarse = numerics.hessian_fd(kappa, kernel.d, h)
     value = math.sqrt(max(numerics.sym_eig_max(-rich), 0.0))
-    coarse = numerics._hessian_fd_single(kappa, kernel.d, h)
     coarse_value = math.sqrt(max(numerics.sym_eig_max(-coarse), 0.0))
     return LipschitzReport(value=value, method="thm41-hessian-fd",
                            error_estimate=abs(value - coarse_value))

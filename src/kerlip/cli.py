@@ -270,14 +270,6 @@ def _format_lip(value: float) -> str:
     return "+inf" if math.isinf(value) else f"{value:.12g}"
 
 
-def _write_report_csv(report, path: str) -> None:
-    try:
-        with open(path, "w", newline="") as fh:
-            fh.write(analytic.CSV_HEADER + "\n" + report.csv_row() + "\n")
-    except OSError as exc:
-        raise ExperimentIOError(f"cannot write {path}: {exc}") from exc
-
-
 def write_line_svg(path: str, xs, ys, label: str, log_x: bool = True) -> None:
     """Minimal standalone SVG line chart with a single polyline series."""
     xs = np.asarray(xs, dtype=float)
@@ -339,7 +331,7 @@ def _cmd_analytic(cfg: RunConfig) -> int:
     print(f"Lip = {_format_lip(report.value)}  (argmax r = {report.argmax_r:.6g}, "
           f"error estimate {report.error_estimate:.3g})")
     if cfg.output:
-        _write_report_csv(report, cfg.output)
+        experiments.write_csv(cfg.output, analytic.CSV_HEADER, [report.csv_row()])
     return EXIT_OK
 
 
@@ -351,7 +343,7 @@ def _cmd_shift_invariant(cfg: RunConfig) -> int:
     else:
         print(f"Lip = {_format_lip(report.value)}")
     if cfg.output:
-        _write_report_csv(report, cfg.output)
+        experiments.write_csv(cfg.output, analytic.CSV_HEADER, [report.csv_row()])
     return EXIT_OK
 
 
@@ -399,13 +391,7 @@ def _cmd_kernel_convergence(cfg: RunConfig) -> int:
     results = experiments.kernel_convergence_sweep(kernel, list(_n_list(cfg)),
                                                    pairs, cfg.seed)
     out = cfg.output or "kernel_convergence.csv"
-    try:
-        with open(out, "w", newline="") as fh:
-            fh.write("N,sup_error\n")
-            for n, err in results:
-                fh.write(f"{n},{err:.17g}\n")
-    except OSError as exc:
-        raise ExperimentIOError(f"cannot write {out}: {exc}") from exc
+    experiments.write_csv(out, "N,sup_error", (f"{n},{err:.17g}" for n, err in results))
     print(f"wrote {len(results)} rows to {out}")
     if cfg.svg:
         write_line_svg(cfg.svg, [n for n, _ in results],
@@ -421,7 +407,7 @@ def _cmd_crosscheck(cfg: RunConfig) -> int:
     print(f"{hessian.method}: {_format_lip(hessian.value)}")
     gap = abs(covariance.value - hessian.value) / covariance.value
     print(f"relative gap: {gap:.3g}")
-    if gap > 1e-2:
+    if not gap <= 1e-2:  # a NaN gap fails too
         raise NumericalFailureError(
             f"covariance and Hessian routes disagree (relative gap {gap:.3g})")
     return EXIT_OK

@@ -5,11 +5,13 @@ guaranteed by per-index derived seeds, so the worker count never changes
 the output.
 """
 
+import contextlib
 import json
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -31,6 +33,7 @@ __all__ = [
     "SweepRow",
     "quantile_sweep",
     "kernel_convergence_sweep",
+    "write_csv",
     "write_sweep_csv",
     "SWEEP_CSV_HEADER",
 ]
@@ -124,23 +127,15 @@ def quantile_sweep(cfg: QuantileSweepConfig,
     negative (the grid maximum can undershoot); it is reported signed.
     """
     rows: list[SweepRow] = []
-    log_fh = open(log_path, "w") if log_path is not None else None
-    try:
+    quantile_index = math.ceil(cfg.delta * cfg.realizations)
+    log = open(log_path, "w") if log_path is not None else contextlib.nullcontext()
+    with log as log_fh, ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+        mapper = map if cfg.threads == 1 else pool.map
         for n in cfg.n_list:
-            values = np.empty(cfg.realizations)
-
-            def fill(index: int, n=n, values=values):
-                values[index] = _realization_lipschitz(cfg, n, index)
-
-            if cfg.threads == 1:
-                for i in range(cfg.realizations):
-                    fill(i)
-            else:
-                with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-                    list(pool.map(fill, range(cfg.realizations)))
-
+            values = np.fromiter(
+                mapper(partial(_realization_lipschitz, cfg, n), range(cfg.realizations)),
+                dtype=float, count=cfg.realizations)
             order = np.sort(values)
-            quantile_index = math.ceil(cfg.delta * cfg.realizations)
             row = SweepRow(
                 N=n,
                 t_hat=float(order[quantile_index - 1] - cfg.lip_reference),
@@ -158,9 +153,6 @@ def quantile_sweep(cfg: QuantileSweepConfig,
             if log_fh is not None:
                 log_fh.write(json.dumps(row.__dict__) + "\n")
                 log_fh.flush()
-    finally:
-        if log_fh is not None:
-            log_fh.close()
     return rows
 
 
@@ -199,16 +191,19 @@ def kernel_convergence_sweep(kernel: ShiftInvariantKernel,
     return results
 
 
+def write_csv(path, header: str, lines) -> None:
+    """Write a header line and data lines as a newline-terminated CSV file."""
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write("\n".join([header, *lines]) + "\n")
+    except OSError as exc:
+        raise ExperimentIOError(f"cannot write {path}: {exc}") from exc
+
+
 def write_sweep_csv(rows: list[SweepRow], path) -> None:
     """Write sweep rows as CSV with 17-significant-digit floats."""
     if not rows:
         raise ExperimentIOError("rows must be nonempty")
-    lines = [SWEEP_CSV_HEADER]
-    for row in rows:
-        lines.append(f"{row.N},{row.t_hat:.17g},{row.quantile_index},"
-                     f"{row.lip_hat_mean:.17g},{row.lip_hat_sd:.17g}")
-    try:
-        with open(path, "w", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise ExperimentIOError(f"cannot write sweep CSV to {path}: {exc}") from exc
+    write_csv(path, SWEEP_CSV_HEADER,
+              (f"{row.N},{row.t_hat:.17g},{row.quantile_index},"
+               f"{row.lip_hat_mean:.17g},{row.lip_hat_sd:.17g}" for row in rows))

@@ -5,16 +5,13 @@ biases; evaluation at ``x`` is ``(1 / sqrt(N)) s(W x + b)``.  All
 evaluations are pure, so grids may be processed concurrently.
 """
 
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from .errors import InvalidArgumentError
 from .kernels import (
-    ACTIVATIONS,
     Activation,
     BiasDistribution,
     WeightDistribution,
@@ -29,13 +26,7 @@ __all__ = [
     "jacobian",
     "empirical_lipschitz",
     "default_grid_1d",
-    "save_feature_map",
-    "load_feature_map",
 ]
-
-_MAGIC = b"RFM1"
-_ACTIVATION_IDS = {"identity": 0, "relu": 1, "cos": 2, "tanh": 3}
-_ACTIVATION_NAMES = {v: k for k, v in _ACTIVATION_IDS.items()}
 
 
 @dataclass(frozen=True)
@@ -127,34 +118,3 @@ def default_grid_1d() -> np.ndarray:
     """The 99-point grid ``-1 + 2 j / 100`` for ``j = 1, ..., 99``."""
     j = np.arange(1, 100)
     return (-1.0 + 2.0 * j / 100.0)[:, None]
-
-
-def save_feature_map(fm: RandomFeatureMap, path) -> None:
-    """Flat binary layout: header (magic, N, d, activation id, seed),
-    then weights row-major as float64, then biases."""
-    if fm.activation.name not in _ACTIVATION_IDS:
-        raise InvalidArgumentError(
-            f"activation {fm.activation.name!r} has no serialization id")
-    seed = fm.source[2] if fm.source is not None else 0
-    header = struct.pack("<4sQQIQ", _MAGIC, fm.n_features, fm.d,
-                         _ACTIVATION_IDS[fm.activation.name], seed)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(fm.weights, dtype=np.float64).tobytes())
-        fh.write(np.ascontiguousarray(fm.biases, dtype=np.float64).tobytes())
-
-
-def load_feature_map(path) -> RandomFeatureMap:
-    raw = Path(path).read_bytes()
-    header_size = struct.calcsize("<4sQQIQ")
-    magic, n, d, act_id, seed = struct.unpack_from("<4sQQIQ", raw)
-    if magic != _MAGIC:
-        raise InvalidArgumentError(f"not a feature-map file: bad magic {magic!r}")
-    weights = np.frombuffer(raw, dtype=np.float64, count=n * d,
-                            offset=header_size).reshape(n, d).copy()
-    biases = np.frombuffer(raw, dtype=np.float64, count=n,
-                           offset=header_size + 8 * n * d).copy()
-    act = ACTIVATIONS[_ACTIVATION_NAMES[act_id]]()
-    # The header keeps the seed for provenance, but the sampling law is not
-    # stored; a loaded map carries no reconstructable source.
-    return RandomFeatureMap(weights=weights, biases=biases, activation=act)

@@ -5,7 +5,7 @@ of ``(params, seed)`` built on counter-based Philox streams, so draws are
 reproducible and independent of call order.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -139,8 +139,7 @@ class WeightDistribution:
 
     Families: ``isotropic-gaussian(gamma, d)``, ``gaussian-cov(cov)``,
     ``student-t`` with ``2 nu`` degrees of freedom and shape matrix
-    ``shape``, ``cauchy(d)`` (the ``nu = 1/2`` Student case) and
-    ``discrete-spectrum`` (diagnostics only, no sampler).
+    ``shape`` and ``cauchy(d)`` (the ``nu = 1/2`` Student case).
     """
 
     family: str
@@ -149,7 +148,6 @@ class WeightDistribution:
     cov: Optional[np.ndarray] = None
     nu: Optional[float] = None
     shape: Optional[np.ndarray] = None
-    spectrum: Optional[np.ndarray] = field(default=None, repr=False)
 
     @staticmethod
     def isotropic_gaussian(gamma: float, d: int) -> "WeightDistribution":
@@ -172,13 +170,6 @@ class WeightDistribution:
     @staticmethod
     def cauchy(d: int) -> "WeightDistribution":
         return WeightDistribution("cauchy", d)
-
-    @staticmethod
-    def discrete_spectrum(weights: np.ndarray) -> "WeightDistribution":
-        w = np.asarray(weights, dtype=float)
-        if w.ndim != 1 or np.any(w <= 0):
-            raise InvalidArgumentError("spectrum weights must be a positive 1-d array")
-        return WeightDistribution("discrete-spectrum", 1, spectrum=w)
 
 
 def _check_spd(m: np.ndarray) -> np.ndarray:
@@ -206,7 +197,7 @@ def second_moment_status(dist: WeightDistribution) -> Optional[np.ndarray]:
         if dist.nu > 1.0:
             return (2.0 * dist.nu / (2.0 * dist.nu - 2.0)) * dist.shape
         return None
-    if dist.family in ("cauchy", "discrete-spectrum"):
+    if dist.family == "cauchy":
         return None
     raise UnsupportedDistributionError(f"unknown weight family: {dist.family!r}")
 
@@ -349,8 +340,7 @@ def kappa_eval(kernel: ShiftInvariantKernel, delta: np.ndarray) -> float:
         return float(np.exp(-np.linalg.norm(delta)))
     if kernel.family == "matern":
         nu = kernel.nu
-        shape = np.linalg.inv(kernel.sigma)
-        arg = np.sqrt(2.0 * nu * delta @ shape @ delta)
+        arg = np.sqrt(2.0 * nu * delta @ kernel.spectral.shape @ delta)
         if arg < 1e-8:
             return 1.0
         return float(2.0 ** (1.0 - nu) / gamma_fn(nu) * arg**nu * kv(nu, arg))

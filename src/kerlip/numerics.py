@@ -37,10 +37,6 @@ class QuadratureRule:
     weights: np.ndarray
     measure_tag: str
 
-    def integrate(self, f) -> float:
-        """Apply the rule to a vectorized callable."""
-        return float(np.sum(self.weights * f(self.nodes)))
-
 
 @dataclass(frozen=True)
 class ScalarMaxResult:
@@ -282,15 +278,17 @@ def _hessian_fd_single(kappa, d: int, h: float) -> np.ndarray:
     return 0.5 * (hess + hess.T)
 
 
-def hessian_fd(kappa, d: int, h: float = DEFAULT_FD_STEP) -> np.ndarray:
+def hessian_fd(kappa, d: int,
+               h: float = DEFAULT_FD_STEP) -> tuple[np.ndarray, np.ndarray]:
     """Finite-difference Hessian of ``kappa`` at 0, Richardson-extrapolated.
 
     Central differences at steps ``h`` and ``h/2`` are combined as
     ``(4 H(h/2) - H(h)) / 3``, which cancels the ``O(h^2)`` truncation
-    term.  ``h`` must lie in ``[1e-6, 1e-2]``.
+    term.  Returns ``(extrapolated, coarse)``; the coarse ``H(h)`` gives
+    callers an error estimate.  ``h`` must lie in ``[1e-6, 1e-2]``.
     """
     if not 1e-6 <= h <= 1e-2:
         raise InvalidArgumentError(f"step h must be in [1e-6, 1e-2], got {h}")
     coarse = _hessian_fd_single(kappa, d, h)
     fine = _hessian_fd_single(kappa, d, h / 2.0)
-    return (4.0 * fine - coarse) / 3.0
+    return (4.0 * fine - coarse) / 3.0, coarse

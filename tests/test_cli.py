@@ -10,6 +10,7 @@ from kerlip.cli import (
     EXIT_CONFIG,
     EXIT_HYPOTHESIS,
     EXIT_IO,
+    EXIT_NUMERICAL,
     EXIT_OK,
     UsageError,
     main,
@@ -147,6 +148,22 @@ class TestCommands:
         values = [float(line.split(":")[1]) for line in out.splitlines()
                   if line.startswith("thm41")]
         assert abs(values[0] - values[1]) <= 1e-2 * values[0]
+
+    def test_crosscheck_anisotropic_matern(self, capsys):
+        code = main(["crosscheck", "--kernel", "matern", "--nu", "2",
+                     "--dim", "2", "--sigma", "diag:2,1"])
+        assert code == EXIT_OK
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_crosscheck_nan_gap_is_numerical_failure(self, capsys):
+        # gamma(200) overflows in the Matern closed form, so the Hessian
+        # route returns NaN; a NaN gap must not pass as agreement.
+        code = main(["crosscheck", "--kernel", "matern", "--nu", "200",
+                     "--dim", "2"])
+        captured = capsys.readouterr()
+        assert code == EXIT_NUMERICAL
+        assert "relative gap: nan" in captured.out
+        assert "numerical failure" in captured.err
 
     def test_empirical_runs(self, capsys):
         code = main(["empirical", "--activation", "cos", "--n-features",

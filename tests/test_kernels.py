@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.special import gamma as gamma_fn
+from scipy.special import kv
 
-from kerlip.errors import InvalidArgumentError, UnsupportedDistributionError
+from kerlip.errors import InvalidArgumentError
 from kerlip.kernels import (
     ACTIVATIONS,
     BiasDistribution,
@@ -124,11 +126,6 @@ class TestSampleWeights:
         assert np.linalg.norm(emp - 2 * np.eye(2)) <= 0.05 * np.linalg.norm(
             2 * np.eye(2))
 
-    def test_discrete_spectrum_has_no_sampler(self):
-        dist = WeightDistribution.discrete_spectrum(np.array([1.0, 0.5]))
-        with pytest.raises(UnsupportedDistributionError):
-            sample_weights(dist, self.BIAS, 10, seed=0)
-
     def test_derive_seed_deterministic_and_distinct(self):
         assert derive_seed(7, 3, 1) == derive_seed(7, 3, 1)
         children = {derive_seed(7, n, i) for n in (16, 32) for i in range(50)}
@@ -181,6 +178,19 @@ class TestKappaEval:
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidArgumentError):
             kappa_eval(gaussian_kernel(np.eye(2)), np.zeros(3))
+
+    @pytest.mark.parametrize("delta", [[0.3, -0.2], [1.0, 0.5], [-2.0, 0.7],
+                                       [0.01, 0.02]])
+    def test_matern_anisotropic_matches_inverse_formula(self, delta):
+        # kappa_eval reads Sigma^-1 from the spectral shape; the value must
+        # match the formula with an explicit inverse of a non-diagonal Sigma.
+        sigma = np.array([[2.0, 0.3], [0.3, 1.0]])
+        nu = 2.0
+        delta = np.array(delta)
+        arg = np.sqrt(2.0 * nu * delta @ np.linalg.inv(sigma) @ delta)
+        expected = 2.0 ** (1.0 - nu) / gamma_fn(nu) * arg**nu * kv(nu, arg)
+        assert_allclose(kappa_eval(matern_kernel(nu, sigma), delta), expected,
+                        rtol=1e-14)
 
     @pytest.mark.parametrize("kernel", KERNELS)
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))

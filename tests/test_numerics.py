@@ -242,17 +242,18 @@ class TestSpectralNorm:
 
 class TestHessianFD:
     def test_negative_norm_squared(self):
-        h = hessian_fd(lambda d: -float(d @ d), 2)
+        h, coarse = hessian_fd(lambda d: -float(d @ d), 2)
         assert_allclose(h, -2.0 * np.eye(2), atol=1e-6)
+        assert_allclose(coarse, -2.0 * np.eye(2), atol=1e-6)
 
     def test_isotropic_gaussian(self):
         kernel = gaussian_kernel(np.eye(2))
-        h = hessian_fd(lambda d: kernel.kappa(d), 2)
+        h, _ = hessian_fd(lambda d: kernel.kappa(d), 2)
         assert_allclose(h, -np.eye(2), atol=1e-4)
 
     def test_matern(self):
         kernel = matern_kernel(2.0, np.eye(2))
-        h = hessian_fd(lambda d: kernel.kappa(d), 2)
+        h, _ = hessian_fd(lambda d: kernel.kappa(d), 2)
         assert_allclose(-h, 2.0 * np.eye(2), atol=1e-3)
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
@@ -263,7 +264,7 @@ class TestHessianFD:
         d = rng.integers(1, 5)
         a = rng.standard_normal((d, d))
         a = a + a.T
-        h = hessian_fd(lambda delta: -0.5 * float(delta @ a @ delta), d)
+        h, _ = hessian_fd(lambda delta: -0.5 * float(delta @ a @ delta), d)
         assert_allclose(h, -a, atol=1e-3 * (1 + np.abs(a).max()))
 
     def test_step_range_enforced(self):
@@ -272,5 +273,5 @@ class TestHessianFD:
 
     def test_output_symmetric(self):
         kernel = matern_kernel(1.5, np.array([[2.0, 0.5], [0.5, 1.0]]))
-        h = hessian_fd(lambda d: kernel.kappa(d), 2)
+        h, _ = hessian_fd(lambda d: kernel.kappa(d), 2)
         assert_allclose(h, h.T, atol=0)

@@ -12,8 +12,6 @@ from kerlip.features import (
     empirical_kernel,
     empirical_lipschitz,
     jacobian,
-    load_feature_map,
-    save_feature_map,
 )
 from kerlip.kernels import (
     BiasDistribution,
@@ -184,28 +182,3 @@ class TestDefaultGrid:
         assert_allclose(grid[0, 0], -0.98)
         assert_allclose(grid[49, 0], 0.0, atol=1e-15)
         assert_allclose(grid[98, 0], 0.98)
-
-
-class TestSerialization:
-    def test_round_trip(self, tmp_path):
-        fm = build_feature_map(ISO_2D, UNIFORM_PHASE, scaled_cosine(), 32, 77)
-        path = tmp_path / "map.rfm"
-        save_feature_map(fm, path)
-        loaded = load_feature_map(path)
-        assert np.array_equal(loaded.weights, fm.weights)
-        assert np.array_equal(loaded.biases, fm.biases)
-        assert loaded.activation.name == "cos"
-        x = np.array([0.3, 0.3])
-        assert_allclose(loaded(x), fm(x), rtol=0)
-
-    def test_header_magic(self, tmp_path):
-        path = tmp_path / "map.rfm"
-        fm = build_feature_map(ISO_1D, UNIFORM_PHASE, relu(), 4, 0)
-        save_feature_map(fm, path)
-        assert path.read_bytes()[:4] == b"RFM1"
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "junk.rfm"
-        path.write_bytes(b"NOPE" + bytes(60))
-        with pytest.raises(InvalidArgumentError):
-            load_feature_map(path)
