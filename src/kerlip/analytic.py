@@ -126,9 +126,15 @@ def rnn_lipschitz(act: Activation, gamma: float, bias: BiasDistribution,
     if not (0 <= r_min < r_max):
         raise InvalidArgumentError(f"need 0 <= r_min < r_max, got {r_domain}")
 
-    result = numerics.maximize_scalar(
-        lambda r: nu_function(act, gamma, bias, r), (r_min, r_max), tol)
-    nu_max, quad_err = _nu_with_error(act, gamma, bias, result.argmax)
+    # Every argmax candidate is a radius the scan already evaluated.
+    scanned = {}
+
+    def nu_at(r):
+        scanned[r] = _nu_with_error(act, gamma, bias, r)
+        return scanned[r][0]
+
+    result = numerics.maximize_scalar(nu_at, (r_min, r_max), tol)
+    nu_max, quad_err = scanned[result.argmax]
     value = math.sqrt(max(nu_max, 0.0))
     err = quad_err / (2.0 * value) if value > 0 else quad_err
     return LipschitzReport(value=value, method="thm34-quadrature",

@@ -122,11 +122,13 @@ def expectation_2d(f, gamma: float, bias, orders: tuple[int, int],
     ``zeta ~ N(0, gamma^2)`` and ``b`` follows the given bias law.  ``f``
     must accept numpy arrays and broadcast elementwise.
 
-    When ``zeta_kinks`` is given (a callable mapping a bias value ``b`` to
-    a list of zeta locations where ``f(., b)`` is non-smooth), the zeta
-    integral is split at those locations and each smooth piece is handled
-    by a Legendre rule on the truncated range ``[-10 gamma, 10 gamma]``
-    (tail mass < 1e-20).  Hermite rules converge slowly across kinks.
+    When ``zeta_kinks`` is given, the zeta integral is split where
+    ``f(., b)`` is non-smooth and each smooth piece is handled by a
+    Legendre rule on the truncated range ``[-10 gamma, 10 gamma]`` (tail
+    mass < 1e-20).  Hermite rules converge slowly across kinks.
+    ``zeta_kinks`` is called once with the ``(n_b, 1)`` column of bias
+    nodes and must return the ``(n_b, k)`` array of zeta locations, in
+    any order, where ``f(., b)`` has its kinks.
     """
     n_zeta, n_b = orders
     if n_zeta < 8 or n_b < 8:
@@ -146,11 +148,8 @@ def expectation_2d(f, gamma: float, bias, orders: tuple[int, int],
 
     limit = 10.0 * gamma
     ref_nodes, ref_weights = _leggauss(n_zeta)
-    kinks = np.atleast_2d(np.stack(
-        [np.sort(np.clip(np.atleast_1d(zeta_kinks(b)), -limit, limit))
-         for b in b_nodes]))
-    edges = np.hstack([np.full((len(b_nodes), 1), -limit), kinks,
-                       np.full((len(b_nodes), 1), limit)])
+    kinks = np.sort(np.clip(zeta_kinks(b_nodes[:, None]), -limit, limit), axis=1)
+    edges = np.pad(kinks, ((0, 0), (1, 1)), constant_values=(-limit, limit))
     total = 0.0
     for panel in range(edges.shape[1] - 1):
         lo, hi = edges[:, panel], edges[:, panel + 1]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from kerlip import numerics
 from kerlip.analytic import (
     CSV_HEADER,
     LipschitzReport,
@@ -105,6 +106,33 @@ class TestRnnLipschitz:
     def test_smooth_activation_allows_point_mass(self):
         report = rnn_lipschitz(identity(), 2.0, BiasDistribution.point_mass())
         assert_allclose(report.value, 2.0, rtol=1e-8)
+
+    @pytest.mark.parametrize("act, bias", [
+        (relu(), STD_GAUSSIAN_BIAS),
+        (identity(), BiasDistribution.point_mass()),
+    ], ids=["relu", "identity"])
+    def test_one_ladder_per_scan_evaluation(self, act, bias, monkeypatch):
+        # The reported value and error come from the scan's own ladders.
+        ladders, scans = [], []
+        adaptive = numerics.expectation_2d_adaptive
+        maximize = numerics.maximize_scalar
+
+        def counted_adaptive(*args, **kwargs):
+            ladders.append(args)
+            return adaptive(*args, **kwargs)
+
+        def recorded_maximize(*args, **kwargs):
+            scans.append(maximize(*args, **kwargs))
+            return scans[-1]
+
+        monkeypatch.setattr(numerics, "expectation_2d_adaptive", counted_adaptive)
+        monkeypatch.setattr(numerics, "maximize_scalar", recorded_maximize)
+        report = rnn_lipschitz(act, 1.0, bias)
+        assert len(scans) == 1
+        assert scans[0].evaluations > numerics.DEFAULT_SCAN_POINTS
+        assert len(ladders) == scans[0].evaluations
+        assert report.value == math.sqrt(scans[0].max_value)
+        assert report.argmax_r == scans[0].argmax
 
     def test_default_r_domain(self):
         lo, hi = default_r_domain(0.5, STD_GAUSSIAN_BIAS)

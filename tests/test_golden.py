@@ -74,6 +74,22 @@ def test_analytic(tmp_path, capsys):
                    "1.4915878357495836e-15\n")
 
 
+UNIFORM_PHASE = "uniform:0:6.283185307179586"
+
+
+@pytest.mark.parametrize("activation, bias, row", [
+    ("relu", UNIFORM_PHASE, "1.0000000000000002,0,3.3306690738754691e-16"),
+    ("tanh", "gaussian:1", "0.68147113104537915,0,6.7202292399062707e-12"),
+    ("cos", UNIFORM_PHASE,
+     "1.0000000000000033,11.233252373300342,3.3306690738754586e-15"),
+])
+def test_analytic_other_settings(activation, bias, row, tmp_path, capsys):
+    out = _run(["analytic", "--activation", activation, "--bias", bias],
+               tmp_path)
+    assert out == ("method,value,argmax_r,error_estimate\n"
+                   f"thm34-quadrature,{row}\n")
+
+
 def test_shift_invariant_divergent(tmp_path, capsys):
     out = _run(["shift-invariant", "--kernel", "laplace"], tmp_path)
     assert out == "method,value,argmax_r,error_estimate\ndivergent,inf,,0\n"

@@ -6,9 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from kerlip.analytic import _kink_locator
 from kerlip.errors import EvaluationFailureError, InvalidArgumentError
-from kerlip.kernels import BiasDistribution, gaussian_kernel, matern_kernel
+from kerlip.kernels import (
+    Activation,
+    BiasDistribution,
+    gaussian_kernel,
+    matern_kernel,
+    relu,
+)
 from kerlip.numerics import (
+    _bias_rule,
+    _gaussian_pdf,
+    _leggauss,
     expectation_2d,
     expectation_2d_adaptive,
     gauss_hermite,
@@ -128,7 +138,7 @@ class TestExpectation2D:
     def test_kink_split_matches_closed_form(self):
         # E[zeta^2 1{zeta > 0}] = gamma^2 / 2 for a point-mass bias at 0.
         value = expectation_2d(lambda z, b: z**2 * (z + b > 0), 2.0,
-                               self.POINT, (64, 64), zeta_kinks=lambda b: [-b])
+                               self.POINT, (64, 64), zeta_kinks=lambda b: -b)
         assert_allclose(value, 2.0, rtol=1e-9)
 
     def test_linearity(self):
@@ -153,6 +163,66 @@ class TestExpectation2D:
                                              self.GAUSSIAN)
         assert_allclose(value, 1.0, rtol=1e-10)
         assert err >= 0.0
+
+
+def _per_node_split(f, gamma, bias, orders, zeta_kinks):
+    """The kinked route of ``expectation_2d`` as a loop over bias nodes.
+
+    Each node's kink edges are built one scalar ``b`` at a time; the
+    panel sums are the same as in :func:`expectation_2d`.
+    """
+    n_zeta, n_b = orders
+    b_nodes, b_weights = _bias_rule(bias, n_b)
+    limit = 10.0 * gamma
+    ref_nodes, ref_weights = _leggauss(n_zeta)
+    kinks = np.atleast_2d(np.stack(
+        [np.sort(np.clip(np.atleast_1d(zeta_kinks(b)), -limit, limit))
+         for b in b_nodes]))
+    edges = np.hstack([np.full((len(b_nodes), 1), -limit), kinks,
+                       np.full((len(b_nodes), 1), limit)])
+    total = 0.0
+    for panel in range(edges.shape[1] - 1):
+        lo, hi = edges[:, panel], edges[:, panel + 1]
+        half = np.maximum(0.5 * (hi - lo), 0.0)
+        zeta = half[:, None] * ref_nodes + (0.5 * (hi + lo))[:, None]
+        values = f(zeta, b_nodes[:, None]) * _gaussian_pdf(zeta, gamma)
+        inner = half * (values @ ref_weights)
+        total += float(b_weights @ inner)
+    return total
+
+
+# Two kinks, listed out of order, so the split has to sort them.
+HARD_TANH = Activation(
+    name="hard-tanh",
+    value=lambda u: np.clip(u, -1.0, 1.0),
+    derivative=lambda u: np.where(np.abs(u) < 1.0, 1.0, 0.0),
+    lipschitz_bound=1.0,
+    kinks=(1.0, -1.0),
+)
+
+
+class TestKinkSplit:
+    """The array-built kink edges give bit-identical sums to the loop."""
+
+    # Small radii push kinks past +-10 gamma, where clipping leaves
+    # zero-width panels; large radii give narrow panels around zeta = 0.
+    RADII = (1e-3, 0.05, 0.7, 3.0, 40.0)
+
+    @pytest.mark.parametrize("order", [64, 128, 256])
+    @pytest.mark.parametrize("bias", [BiasDistribution.gaussian(1.0),
+                                      BiasDistribution.uniform(0.0, 2 * np.pi),
+                                      BiasDistribution.point_mass()],
+                             ids=["gaussian", "uniform", "point"])
+    @pytest.mark.parametrize("act", [relu(), HARD_TANH], ids=["relu", "hard-tanh"])
+    def test_bit_identical_to_per_node_loop(self, act, bias, order):
+        for gamma in (0.5, 2.0):
+            for r in self.RADII:
+                def f(zeta, b):
+                    return zeta**2 * act.derivative(zeta * r + b) ** 2
+
+                kinks = _kink_locator(act, r)
+                args = (f, gamma, bias, (order, order), kinks)
+                assert expectation_2d(*args) == _per_node_split(*args), (gamma, r)
 
 
 class TestMaximizeScalar:
