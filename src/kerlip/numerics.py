@@ -240,26 +240,38 @@ def maximize_scalar(g, domain: tuple[float, float], tol: float,
     return ScalarMaxResult(float(argmax), float(max_value), evaluations, bracket)
 
 
-def sym_eig_max(m: np.ndarray) -> float:
-    """Largest eigenvalue of a symmetric real matrix."""
+def sym_eig_max(m: np.ndarray) -> float | np.ndarray:
+    """Largest eigenvalue of a symmetric real matrix.
+
+    A ``(k, d, d)`` stack gives a ``(k,)`` array, one value per matrix;
+    each matrix is checked for symmetry against its own scale.
+    """
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InvalidArgumentError(f"expected a square matrix, got shape {m.shape}")
-    scale = max(np.max(np.abs(m)), 1.0)
-    if np.max(np.abs(m - m.T)) > 1e-10 * scale:
+    if m.ndim not in (2, 3) or m.shape[-2] != m.shape[-1]:
+        raise InvalidArgumentError(
+            f"expected a square matrix or a stack of them, got shape {m.shape}")
+    mt = np.swapaxes(m, -1, -2)
+    scale = np.maximum(np.max(np.abs(m), axis=(-2, -1)), 1.0)
+    if np.any(np.max(np.abs(m - mt), axis=(-2, -1)) > 1e-10 * scale):
         raise InvalidArgumentError("matrix is not symmetric within 1e-10")
-    return float(np.linalg.eigvalsh(0.5 * (m + m.T))[-1])
+    top = np.linalg.eigvalsh(0.5 * (m + mt))[..., -1]
+    return float(top) if m.ndim == 2 else top
 
 
-def spectral_norm(m: np.ndarray) -> float:
-    """Largest singular value, computed as ``sqrt(lambda_max(m^T m))``."""
+def spectral_norm(m: np.ndarray) -> float | np.ndarray:
+    """Largest singular value, computed as ``sqrt(lambda_max(m^T m))``.
+
+    A ``(k, N, d)`` stack gives a ``(k,)`` array, one value per matrix.
+    """
     m = np.asarray(m, dtype=float)
     if not np.all(np.isfinite(m)):
         raise InvalidArgumentError("matrix entries must be finite")
     if m.ndim == 1:
         m = m[:, None]
-    gram = m.T @ m
-    return float(np.sqrt(max(sym_eig_max(gram), 0.0)))
+    lam = sym_eig_max(np.swapaxes(m, -1, -2) @ m)
+    # Clip round-off negatives to 0 but keep -0.0 and NaN, as max(lam, 0.0) does.
+    top = np.sqrt(np.where(lam < 0.0, 0.0, lam))
+    return float(top) if m.ndim == 2 else top
 
 
 def _hessian_fd_single(kappa, d: int, h: float) -> np.ndarray:

@@ -310,6 +310,52 @@ class TestSpectralNorm:
                         rtol=1e-10, atol=1e-12)
 
 
+class TestStackedNorms:
+    def test_stack_equals_slice_calls(self):
+        rng = np.random.default_rng(13)
+        for shape in [(5, 7, 2), (1, 16, 3), (4, 1, 1), (3, 6, 6)]:
+            stack = rng.standard_normal(shape)
+            values = spectral_norm(stack)
+            assert values.shape == (shape[0],)
+            assert [float(v) for v in values] == [spectral_norm(m) for m in stack]
+
+    def test_zero_slice_keeps_max_semantics(self):
+        stack = np.zeros((2, 3, 2))
+        stack[1] = np.arange(6.0).reshape(3, 2)
+        values = spectral_norm(stack)
+        assert [float(v) for v in values] == [spectral_norm(m) for m in stack]
+
+    def test_sym_eig_max_stack_equals_slice_calls(self):
+        rng = np.random.default_rng(14)
+        a = rng.standard_normal((6, 3, 3))
+        stack = a + np.swapaxes(a, -1, -2)
+        assert [float(v) for v in sym_eig_max(stack)] == [sym_eig_max(m) for m in stack]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_slice_rejected(self, bad):
+        stack = np.ones((4, 5, 2))
+        stack[2, 3, 1] = bad
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            spectral_norm(stack)
+
+    def test_asymmetric_slice_rejected(self):
+        stack = np.stack([np.eye(2), np.array([[1.0, 2.0], [0.0, 1.0]]), np.eye(2)])
+        with pytest.raises(InvalidArgumentError, match="symmetric"):
+            sym_eig_max(stack)
+
+    def test_symmetry_checked_at_each_slice_scale(self):
+        # A 1e-6 asymmetry is round-off beside 1e5 entries but not beside 1.
+        big = np.array([[1e5, 1.0], [1.0 + 1e-6, 1e5]])
+        small = np.array([[1.0, 0.0], [1e-6, 1.0]])
+        sym_eig_max(big)
+        with pytest.raises(InvalidArgumentError):
+            sym_eig_max(np.stack([big, small]))
+
+    def test_non_square_stack_rejected(self):
+        with pytest.raises(InvalidArgumentError):
+            sym_eig_max(np.ones((2, 3, 2)))
+
+
 class TestHessianFD:
     def test_negative_norm_squared(self):
         h, coarse = hessian_fd(lambda d: -float(d @ d), 2)

@@ -1,11 +1,14 @@
 """Tests for finite random feature maps and the empirical estimator."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from kerlip.errors import InvalidArgumentError
 from kerlip.features import (
+    _BLOCK_ELEMENTS,
     RandomFeatureMap,
     build_feature_map,
     default_grid_1d,
@@ -173,6 +176,93 @@ class TestEmpiricalLipschitz:
         fm = build_feature_map(ISO_1D, UNIFORM_PHASE, identity(), 4, 0)
         with pytest.raises(InvalidArgumentError):
             empirical_lipschitz(fm, np.empty((0, 1)))
+
+    @pytest.mark.parametrize("d, bad_width", [(1, 2), (2, 1), (2, 3)])
+    def test_grid_width_mismatch_rejected(self, d, bad_width):
+        dist = WeightDistribution.isotropic_gaussian(1.0, d)
+        fm = build_feature_map(dist, UNIFORM_PHASE, tanh_activation(), 8, 0)
+        with pytest.raises(InvalidArgumentError, match=rf"\(5, {bad_width}\).*\(8, {d}\)"):
+            empirical_lipschitz(fm, np.zeros((5, bad_width)))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_grid_rejected(self, d, bad):
+        dist = WeightDistribution.isotropic_gaussian(1.0, d)
+        fm = build_feature_map(dist, UNIFORM_PHASE, scaled_cosine(), 8, 0)
+        grid = np.zeros((5, d))
+        grid[3, 0] = bad
+        with pytest.raises(InvalidArgumentError, match=r"\(5, %d\)" % d):
+            empirical_lipschitz(fm, grid)
+
+    def test_peak_memory_bounded_at_large_n(self):
+        fm = build_feature_map(ISO_1D, UNIFORM_PHASE, scaled_cosine(), 4096, 0)
+        grid = default_grid_1d()
+        tracemalloc.start()
+        try:
+            empirical_lipschitz(fm, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+
+def _one_shot_estimator(fm, grid):
+    """The unblocked estimator: one d=1 expression, else a per-point loop."""
+    if fm.d == 1:
+        pre = grid @ fm.weights.T + fm.biases
+        slopes = fm.activation.derivative(pre)
+        norms = np.sqrt((slopes**2 @ fm.weights[:, 0] ** 2) / fm.n_features)
+        best = int(np.argmax(norms))
+        return float(norms[best]), grid[best]
+    best_value, best_point = -np.inf, grid[0]
+    for point in grid:
+        value = spectral_norm(jacobian(fm, point))
+        if value > best_value:
+            best_value, best_point = value, point
+    return float(best_value), best_point
+
+
+class TestBlockedEstimatorBitIdentity:
+    """Row blocks must not change a single bit of the value or the argmax."""
+
+    @pytest.mark.parametrize("act", [relu(), scaled_cosine(), tanh_activation()],
+                             ids=lambda a: a.name)
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 7, 16, 255, 1024, 4096])
+    def test_matches_one_shot_estimator(self, act, d, n):
+        dist = WeightDistribution.isotropic_gaussian(1.0, d)
+        fm = build_feature_map(dist, UNIFORM_PHASE, act, n, 17 * n + d)
+        rows = max(1, _BLOCK_ELEMENTS // (n * d))
+        rng = np.random.default_rng(n + d)
+        sizes = {1, max(1, rows // 2), 2 * rows + 1, 2 * rows + 3}
+        grids = [rng.uniform(-1.0, 1.0, size=(size, d)) for size in sorted(sizes)]
+        if d == 1:
+            grids.append(default_grid_1d())
+        for grid in grids:
+            value, argmax = empirical_lipschitz(fm, grid)
+            ref_value, ref_argmax = _one_shot_estimator(fm, grid)
+            assert value == ref_value, grid.shape
+            assert np.array_equal(argmax, ref_argmax), grid.shape
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_tied_maximum_in_two_blocks_returns_lower_index(self, d):
+        # Shifting the maximiser by 1e-12 flips no ReLU unit, so the
+        # Jacobian, and with it the norm, is bit-for-bit the same.
+        dist = WeightDistribution.isotropic_gaussian(1.0, d)
+        fm = build_feature_map(dist, UNIFORM_PHASE, relu(), 1024, 3)
+        rows = max(4, _BLOCK_ELEMENTS // (1024 * d))
+        grid = np.random.default_rng(5).uniform(-1.0, 1.0, size=(4 * rows, d))
+        top = int(np.argmax([spectral_norm(jacobian(fm, p)) for p in grid]))
+        twin = grid[top] + 1e-12
+        grid[[1, 2 * rows + 1]] = grid[top], twin
+        for pair in ([grid[1], twin], [twin, grid[1]]):
+            _, first = empirical_lipschitz(fm, np.array(pair))
+            assert np.array_equal(first, pair[0])  # a tie, in either order
+        value, argmax = empirical_lipschitz(fm, grid)
+        ref_value, ref_argmax = _one_shot_estimator(fm, grid)
+        assert np.array_equal(argmax, grid[1])
+        assert value == ref_value
+        assert np.array_equal(argmax, ref_argmax)
 
 
 class TestDefaultGrid:
