@@ -18,7 +18,6 @@ import numpy as np
 
 from . import analytic, experiments
 from .errors import (
-    EvaluationFailureError,
     ExperimentIOError,
     HypothesisViolationError,
     InvalidArgumentError,
@@ -83,6 +82,21 @@ _CONFIG_FIELDS = {f.name: f.type for f in dataclass_fields(RunConfig)
                   if f.name != "command"}
 
 
+# Choices, help and metavar of the flags that have any; every other
+# RunConfig field gets a plain ``--field-name`` flag of the field's type.
+_FLAG_OPTIONS = {
+    "activation": dict(choices=sorted(ACTIVATIONS)),
+    "bias": dict(help="uniform:a:b | gaussian:sd | point:0"),
+    "kernel": dict(choices=("gaussian", "matern", "laplace")),
+    "sigma": dict(help="identity | diag:a,b,... | file:PATH"),
+    "n_list": dict(help="comma-separated feature counts"),
+    "r_max": dict(help="radius search bound; 0 selects the default domain"),
+    "output": dict(metavar="PATH"),
+    "svg": dict(metavar="PATH"),
+    "log": dict(metavar="PATH"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kerlip",
@@ -94,47 +108,27 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="flat 'key = value' config file; flags override it")
     parser.add_argument("--dump-config", action="store_true",
                         help="print the resolved configuration and exit")
-    parser.add_argument("--activation", choices=sorted(ACTIVATIONS))
-    parser.add_argument("--gamma", type=float)
-    parser.add_argument("--bias", help="uniform:a:b | gaussian:sd | point:0")
-    parser.add_argument("--kernel", choices=("gaussian", "matern", "laplace"))
-    parser.add_argument("--nu", type=float)
-    parser.add_argument("--sigma", help="identity | diag:a,b,... | file:PATH")
-    parser.add_argument("--dim", type=int)
-    parser.add_argument("--n-features", type=int, dest="n_features")
-    parser.add_argument("--n-list", dest="n_list",
-                        help="comma-separated feature counts")
-    parser.add_argument("--realizations", type=int)
-    parser.add_argument("--delta", type=float)
-    parser.add_argument("--tol", type=float)
-    parser.add_argument("--r-max", type=float, dest="r_max",
-                        help="radius search bound; 0 selects the default domain")
-    parser.add_argument("--fd-step", type=float, dest="fd_step")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--threads", type=int)
-    parser.add_argument("--grid-points", type=int, dest="grid_points")
-    parser.add_argument("--pair-grid-size", type=int, dest="pair_grid_size")
-    parser.add_argument("--nested", action="store_const", const=True, default=None)
-    parser.add_argument("--output", metavar="PATH")
-    parser.add_argument("--svg", metavar="PATH")
-    parser.add_argument("--log", metavar="PATH")
+    for key, kind in _CONFIG_FIELDS.items():
+        flag = "--" + key.replace("_", "-")
+        options = _FLAG_OPTIONS.get(key, {})
+        if kind is bool:
+            parser.add_argument(flag, action="store_const", const=True,
+                                default=None, **options)
+        else:
+            parser.add_argument(flag, type=kind, **options)
     return parser
 
 
 def _coerce(key: str, text: str):
     kind = _CONFIG_FIELDS[key]
     try:
-        if kind in ("bool", bool):
+        if kind is bool:
             if text.lower() in ("true", "1", "yes"):
                 return True
             if text.lower() in ("false", "0", "no"):
                 return False
             raise ValueError(text)
-        if kind in ("int", int):
-            return int(text)
-        if kind in ("float", float):
-            return float(text)
-        return text
+        return kind(text)
     except ValueError as exc:
         raise UsageError(f"malformed value for config key {key!r}: {text!r}") from exc
 
@@ -438,14 +432,14 @@ def main(argv=None) -> int:
         return run(cfg)
     except SystemExit as exc:  # argparse usage errors
         return EXIT_CONFIG if exc.code else EXIT_OK
-    except (UsageError, InvalidConfigurationError, InvalidArgumentError,
+    except (InvalidConfigurationError, InvalidArgumentError,
             UnsupportedDistributionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ExperimentIOError, OSError) as exc:
+    except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (NumericalFailureError, EvaluationFailureError) as exc:
+    except NumericalFailureError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except HypothesisViolationError as exc:

@@ -13,16 +13,12 @@ class UnsupportedDistributionError(KerlipError):
     """The requested distribution family has no sampler / quadrature rule."""
 
 
-class EvaluationFailureError(KerlipError):
-    """A user-supplied callable returned NaN during optimization."""
-
-
 class HypothesisViolationError(KerlipError):
     """The inputs do not satisfy the mathematical hypotheses of the formula."""
 
 
 class NumericalFailureError(KerlipError):
-    """A numerical consistency check failed (e.g. negative curvature)."""
+    """A numerical check failed (e.g. negative curvature or a NaN objective)."""
 
 
 class InvalidConfigurationError(KerlipError):

@@ -137,9 +137,10 @@ class BiasDistribution:
 class WeightDistribution:
     """Weight law of a random feature / spectral measure of a kernel.
 
-    Families: ``isotropic-gaussian(gamma, d)``, ``gaussian-cov(cov)``,
+    Families: ``isotropic-gaussian(gamma, d)``, ``gaussian-cov(cov)`` and
     ``student-t`` with ``2 nu`` degrees of freedom and shape matrix
-    ``shape`` and ``cauchy(d)`` (the ``nu = 1/2`` Student case).
+    ``shape``.  The ``cauchy(d)`` constructor is not a family of its own:
+    it builds the ``nu = 1/2`` Student law with identity shape.
     """
 
     family: str
@@ -169,7 +170,7 @@ class WeightDistribution:
 
     @staticmethod
     def cauchy(d: int) -> "WeightDistribution":
-        return WeightDistribution("cauchy", d)
+        return WeightDistribution.student_t(0.5, np.eye(d))
 
 
 def _check_spd(m: np.ndarray) -> np.ndarray:
@@ -187,7 +188,7 @@ def second_moment_status(dist: WeightDistribution) -> Optional[np.ndarray]:
     """Analytic covariance of the weight law, or ``None`` when infinite.
 
     Student weights with ``2 nu`` degrees of freedom are integrable in
-    second moment iff ``nu > 1``; Cauchy weights never are.
+    second moment iff ``nu > 1``; Cauchy weights (``nu = 1/2``) are not.
     """
     if dist.family == "isotropic-gaussian":
         return dist.gamma**2 * np.eye(dist.d)
@@ -196,8 +197,6 @@ def second_moment_status(dist: WeightDistribution) -> Optional[np.ndarray]:
     if dist.family == "student-t":
         if dist.nu > 1.0:
             return (2.0 * dist.nu / (2.0 * dist.nu - 2.0)) * dist.shape
-        return None
-    if dist.family == "cauchy":
         return None
     raise UnsupportedDistributionError(f"unknown weight family: {dist.family!r}")
 
@@ -223,7 +222,7 @@ def sample_weights(dist: WeightDistribution, bias: BiasDistribution,
     """Draw ``n`` i.i.d. weight rows and biases, deterministically in ``seed``.
 
     Student weights are sampled as gaussian divided by
-    ``sqrt(chi2(2 nu) / (2 nu))``; Cauchy is the ``nu = 1/2`` case.
+    ``sqrt(chi2(2 nu) / (2 nu))``.
     """
     if n < 1:
         raise InvalidArgumentError(f"need n >= 1, got {n}")
@@ -234,12 +233,9 @@ def sample_weights(dist: WeightDistribution, bias: BiasDistribution,
     elif dist.family == "gaussian-cov":
         chol = np.linalg.cholesky(dist.cov)
         w = rng_w.standard_normal((n, dist.d)) @ chol.T
-    elif dist.family in ("student-t", "cauchy"):
-        if dist.family == "student-t":
-            df, shape = 2.0 * dist.nu, dist.shape
-        else:
-            df, shape = 1.0, np.eye(dist.d)
-        chol = np.linalg.cholesky(shape)
+    elif dist.family == "student-t":
+        df = 2.0 * dist.nu
+        chol = np.linalg.cholesky(dist.shape)
         z = rng_w.standard_normal((n, dist.d)) @ chol.T
         mix = _stream(seed, 1).chisquare(df, size=n)
         w = z / np.sqrt(mix / df)[:, None]
@@ -261,17 +257,17 @@ def sample_weights(dist: WeightDistribution, bias: BiasDistribution,
 
 @dataclass(frozen=True)
 class ShiftInvariantKernel:
-    """Closed-form kernel ``k(x, y) = kappa(x - y)`` with its spectral law."""
+    """Closed-form kernel ``k(x, y) = kappa(x - y)`` with its spectral law.
+
+    The spectral law carries the kernel's parameters: the Gaussian
+    ``Sigma`` is ``spectral.cov``, and the Matern ``nu`` and ``Sigma^-1``
+    are ``spectral.nu`` and ``spectral.shape``.
+    """
 
     family: str
     d: int
     kappa0: float
     spectral: WeightDistribution
-    sigma: Optional[np.ndarray] = None
-    nu: Optional[float] = None
-
-    def kappa(self, delta: np.ndarray) -> float:
-        return kappa_eval(self, delta)
 
     def __call__(self, x: np.ndarray, y: np.ndarray) -> float:
         return kappa_eval(self, np.asarray(x, dtype=float) - np.asarray(y, dtype=float))
@@ -288,7 +284,6 @@ def gaussian_kernel(sigma: np.ndarray) -> ShiftInvariantKernel:
         d=sigma.shape[0],
         kappa0=1.0,
         spectral=WeightDistribution.gaussian_cov(sigma),
-        sigma=sigma,
     )
 
 
@@ -309,8 +304,6 @@ def matern_kernel(nu: float, sigma: np.ndarray) -> ShiftInvariantKernel:
         d=sigma.shape[0],
         kappa0=1.0,
         spectral=WeightDistribution.student_t(nu, 0.5 * (shape + shape.T)),
-        sigma=sigma,
-        nu=float(nu),
     )
 
 
@@ -335,11 +328,11 @@ def kappa_eval(kernel: ShiftInvariantKernel, delta: np.ndarray) -> float:
         raise InvalidArgumentError(
             f"delta has shape {delta.shape}, kernel dimension is {kernel.d}")
     if kernel.family == "gaussian":
-        return float(np.exp(-0.5 * delta @ kernel.sigma @ delta))
+        return float(np.exp(-0.5 * delta @ kernel.spectral.cov @ delta))
     if kernel.family == "laplace":
         return float(np.exp(-np.linalg.norm(delta)))
     if kernel.family == "matern":
-        nu = kernel.nu
+        nu = kernel.spectral.nu
         arg = np.sqrt(2.0 * nu * delta @ kernel.spectral.shape @ delta)
         if arg < 1e-8:
             return 1.0

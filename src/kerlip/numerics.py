@@ -11,10 +11,11 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import (
-    EvaluationFailureError,
     InvalidArgumentError,
+    NumericalFailureError,
     UnsupportedDistributionError,
 )
+from .kernels import BiasDistribution
 
 _MAX_QUAD_ORDER = 256
 
@@ -23,19 +24,6 @@ DEFAULT_SCAN_POINTS = 512
 
 #: Default finite-difference step for :func:`hessian_fd`.
 DEFAULT_FD_STEP = 1e-4
-
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Nodes and weights of a Gaussian quadrature rule.
-
-    ``measure_tag`` is ``"gauss-hermite"`` (weight ``exp(-t^2)`` on the
-    real line) or ``"gauss-legendre(a,b)"`` (unit weight on ``[a, b]``).
-    """
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    measure_tag: str
 
 
 @dataclass(frozen=True)
@@ -48,64 +36,40 @@ class ScalarMaxResult:
     bracket: tuple[float, float]
 
 
-# Node computation solves a symmetric tridiagonal eigenproblem; cache it,
-# the adaptive ladder re-requests the same orders constantly.
-@lru_cache(maxsize=64)
-def _hermgauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = np.polynomial.hermite.hermgauss(n)
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
+def _cached_rule(make):
+    """Cache a Gauss rule by order, with read-only arrays.
 
-
-@lru_cache(maxsize=64)
-def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = np.polynomial.legendre.leggauss(n)
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
-
-
-def gauss_hermite(n: int) -> QuadratureRule:
-    """Gauss-Hermite rule with ``n`` nodes (physicists' weight ``exp(-t^2)``).
-
-    Exact for polynomials of degree ``<= 2n - 1``.
+    Node computation solves a symmetric tridiagonal eigenproblem, and
+    the adaptive ladder re-requests the same orders constantly.
     """
-    if not 1 <= n <= _MAX_QUAD_ORDER:
-        raise InvalidArgumentError(f"hermite order must be in [1, {_MAX_QUAD_ORDER}], got {n}")
-    nodes, weights = _hermgauss(n)
-    return QuadratureRule(nodes, weights, "gauss-hermite")
+    @lru_cache(maxsize=64)
+    def rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+        nodes, weights = make(n)
+        nodes.setflags(write=False)
+        weights.setflags(write=False)
+        return nodes, weights
+    return rule
 
 
-def gauss_legendre(n: int, a: float, b: float) -> QuadratureRule:
-    """Gauss-Legendre rule with ``n`` nodes on ``[a, b]``.
-
-    Exact for polynomials of degree ``<= 2n - 1``.
-    """
-    if n < 1:
-        raise InvalidArgumentError(f"legendre order must be >= 1, got {n}")
-    if not a < b:
-        raise InvalidArgumentError(f"need a < b, got a={a}, b={b}")
-    nodes, weights = _leggauss(n)
-    half = 0.5 * (b - a)
-    return QuadratureRule(half * nodes + 0.5 * (b + a), half * weights, f"gauss-legendre({a},{b})")
+#: Physicists' Gauss-Hermite (weight ``exp(-t^2)``) and Gauss-Legendre
+#: (unit weight on ``[-1, 1]``) rules; each is exact to degree ``2n - 1``.
+_hermgauss = _cached_rule(np.polynomial.hermite.hermgauss)
+_leggauss = _cached_rule(np.polynomial.legendre.leggauss)
 
 
 def _bias_rule(bias, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and probability weights (summing to 1) for a bias law."""
-    # Imported lazily: kernels depends on numerics for its own diagnostics.
-    from .kernels import BiasDistribution
-
     if not isinstance(bias, BiasDistribution):
         raise UnsupportedDistributionError(f"unsupported bias specification: {bias!r}")
     if bias.family == "uniform":
         a, b = bias.params
-        rule = gauss_legendre(n, a, b)
-        return rule.nodes, rule.weights / (b - a)
+        nodes, weights = _leggauss(n)
+        half = 0.5 * (b - a)
+        return half * nodes + 0.5 * (b + a), half * weights / (b - a)
     if bias.family == "gaussian":
         (sd,) = bias.params
-        rule = gauss_hermite(n)
-        return np.sqrt(2.0) * sd * rule.nodes, rule.weights / np.sqrt(np.pi)
+        nodes, weights = _hermgauss(n)
+        return np.sqrt(2.0) * sd * nodes, weights / np.sqrt(np.pi)
     if bias.family == "point":
         return np.zeros(1), np.ones(1)
     raise UnsupportedDistributionError(f"unsupported bias family: {bias.family!r}")
@@ -131,16 +95,17 @@ def expectation_2d(f, gamma: float, bias, orders: tuple[int, int],
     any order, where ``f(., b)`` has its kinks.
     """
     n_zeta, n_b = orders
-    if n_zeta < 8 or n_b < 8:
-        raise InvalidArgumentError(f"quadrature orders must be >= (8, 8), got {orders}")
+    if not (8 <= n_zeta <= _MAX_QUAD_ORDER and 8 <= n_b <= _MAX_QUAD_ORDER):
+        raise InvalidArgumentError(
+            f"quadrature orders must be in [8, {_MAX_QUAD_ORDER}], got {orders}")
     if gamma <= 0:
         raise InvalidArgumentError(f"gamma must be positive, got {gamma}")
     b_nodes, b_weights = _bias_rule(bias, n_b)
 
     if zeta_kinks is None:
-        rule = gauss_hermite(n_zeta)
-        zeta = np.sqrt(2.0) * gamma * rule.nodes
-        z_weights = rule.weights / np.sqrt(np.pi)
+        nodes, weights = _hermgauss(n_zeta)
+        zeta = np.sqrt(2.0) * gamma * nodes
+        z_weights = weights / np.sqrt(np.pi)
         values = np.broadcast_to(
             np.asarray(f(zeta[:, None], b_nodes[None, :]), dtype=float),
             (zeta.size, b_nodes.size))
@@ -208,7 +173,7 @@ def maximize_scalar(g, domain: tuple[float, float], tol: float,
     for i, r in enumerate(grid):
         v = g(float(r))
         if np.isnan(v):
-            raise EvaluationFailureError(f"objective returned NaN at {r}")
+            raise NumericalFailureError(f"objective returned NaN at {r}")
         values[i] = v
     evaluations = scan_points
 
@@ -224,7 +189,7 @@ def maximize_scalar(g, domain: tuple[float, float], tol: float,
     evaluations += 2
     while hi - lo > tol:
         if np.isnan(f1) or np.isnan(f2):
-            raise EvaluationFailureError("objective returned NaN during refinement")
+            raise NumericalFailureError("objective returned NaN during refinement")
         if f1 >= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - _GOLDEN * (hi - lo)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from kerlip import cli, errors
 from kerlip.cli import (
     EXIT_CONFIG,
     EXIT_HYPOTHESIS,
@@ -108,6 +109,40 @@ class TestExitStatuses:
 
     def test_success_status(self, capsys):
         assert main(["analytic"]) == EXIT_OK
+
+
+# The documented exit status of every package error (module docstring of
+# kerlip.cli); a new error class must be added here.
+EXIT_STATUS_OF = {
+    errors.InvalidArgumentError: EXIT_CONFIG,
+    errors.UnsupportedDistributionError: EXIT_CONFIG,
+    errors.InvalidConfigurationError: EXIT_CONFIG,
+    UsageError: EXIT_CONFIG,
+    errors.ExperimentIOError: EXIT_IO,
+    errors.NumericalFailureError: EXIT_NUMERICAL,
+    errors.HypothesisViolationError: EXIT_HYPOTHESIS,
+}
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+@pytest.mark.parametrize("error", sorted(set(_subclasses(errors.KerlipError)),
+                                         key=lambda c: c.__name__),
+                         ids=lambda c: c.__name__)
+def test_every_error_maps_to_its_exit_status(error, monkeypatch, capsys):
+    assert error in EXIT_STATUS_OF, f"{error.__name__} has no documented exit status"
+
+    def fail(cfg):
+        raise error("injected")
+
+    monkeypatch.setitem(cli._DISPATCH, "analytic", fail)
+    assert main(["analytic"]) == EXIT_STATUS_OF[error]
+    err = capsys.readouterr().err
+    assert "injected" in err and "Traceback" not in err
 
 
 class TestCommands:

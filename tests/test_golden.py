@@ -4,12 +4,24 @@ The expected contents were recorded from the CLI at fixed seeds; any
 change to the writers, the sweep loop or the numbers behind them shows
 up here as a byte difference.  Floats are written with 17 significant
 digits, so the low bits depend on the platform's floating point (here
-NumPy with OpenBLAS on x86-64).
+NumPy with OpenBLAS on x86-64).  Every assertion message names the
+BLAS build of the failing run, so a mismatch on another CPU or BLAS
+reads as a platform difference rather than a regression.
 """
 
+import numpy as np
 import pytest
 
 from kerlip.cli import EXIT_OK, main
+
+
+def _blas_build() -> str:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return blas.get("openblas configuration",
+                    f"{blas.get('name')} {blas.get('version')}")
+
+
+BLAS = f"golden bytes differ; this run's BLAS build is {_blas_build()}"
 
 SWEEP = ["quantile-sweep", "--n-list", "8,16,32", "--realizations", "12",
          "--seed", "5"]
@@ -52,18 +64,18 @@ def test_quantile_sweep_gaussian(threads, tmp_path, capsys):
     log = tmp_path / "rows.jsonl"
     out = _run(SWEEP + ["--kernel", "gaussian", "--threads", threads,
                         "--log", str(log)], tmp_path)
-    assert out == GAUSSIAN_SWEEP
-    assert log.read_bytes().decode() == GAUSSIAN_LOG
+    assert out == GAUSSIAN_SWEEP, BLAS
+    assert log.read_bytes().decode() == GAUSSIAN_LOG, BLAS
 
 
 def test_quantile_sweep_matern(tmp_path, capsys):
     out = _run(SWEEP + ["--kernel", "matern", "--nu", "2"], tmp_path)
-    assert out == MATERN_SWEEP
+    assert out == MATERN_SWEEP, BLAS
 
 
 def test_quantile_sweep_relu(tmp_path, capsys):
     out = _run(SWEEP + ["--activation", "relu", "--bias", "gaussian:1"], tmp_path)
-    assert out == RELU_SWEEP
+    assert out == RELU_SWEEP, BLAS
 
 
 def test_analytic(tmp_path, capsys):
@@ -71,7 +83,7 @@ def test_analytic(tmp_path, capsys):
                tmp_path)
     assert out == ("method,value,argmax_r,error_estimate\n"
                    "thm34-quadrature,0.70710678118654879,0.6025997930911402,"
-                   "1.4915878357495836e-15\n")
+                   "1.4915878357495836e-15\n"), BLAS
 
 
 UNIFORM_PHASE = "uniform:0:6.283185307179586"
@@ -87,12 +99,12 @@ def test_analytic_other_settings(activation, bias, row, tmp_path, capsys):
     out = _run(["analytic", "--activation", activation, "--bias", bias],
                tmp_path)
     assert out == ("method,value,argmax_r,error_estimate\n"
-                   f"thm34-quadrature,{row}\n")
+                   f"thm34-quadrature,{row}\n"), BLAS
 
 
 def test_shift_invariant_divergent(tmp_path, capsys):
     out = _run(["shift-invariant", "--kernel", "laplace"], tmp_path)
-    assert out == "method,value,argmax_r,error_estimate\ndivergent,inf,,0\n"
+    assert out == "method,value,argmax_r,error_estimate\ndivergent,inf,,0\n", BLAS
 
 
 def test_kernel_convergence(tmp_path, capsys):
@@ -101,4 +113,4 @@ def test_kernel_convergence(tmp_path, capsys):
     assert out == ("N,sup_error\n"
                    "16,0.37060865023925837\n"
                    "64,0.15729687674866821\n"
-                   "256,0.10259420978297151\n")
+                   "256,0.10259420978297151\n"), BLAS

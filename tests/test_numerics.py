@@ -1,5 +1,8 @@
 """Tests for the deterministic numerical primitives."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,11 +10,12 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from kerlip.analytic import _kink_locator
-from kerlip.errors import EvaluationFailureError, InvalidArgumentError
+from kerlip.errors import InvalidArgumentError, NumericalFailureError
 from kerlip.kernels import (
     Activation,
     BiasDistribution,
     gaussian_kernel,
+    kappa_eval,
     matern_kernel,
     relu,
 )
@@ -21,96 +25,96 @@ from kerlip.numerics import (
     _leggauss,
     expectation_2d,
     expectation_2d_adaptive,
-    gauss_hermite,
-    gauss_legendre,
     hessian_fd,
     maximize_scalar,
     spectral_norm,
     sym_eig_max,
 )
 
-SQRT_PI = np.sqrt(np.pi)
+
+def _gaussian_moment(sd, k):
+    """``E[b^k] = sd^k (k - 1)!!`` for ``b ~ N(0, sd^2)`` and even ``k``."""
+    return sd**k * math.prod(range(k - 1, 0, -2))
 
 
 class TestGaussHermite:
+    """The Gaussian bias law's probability rule, built on Gauss-Hermite."""
+
     def test_one_point_rule(self):
-        rule = gauss_hermite(1)
-        assert_allclose(rule.nodes, [0.0], atol=1e-15)
-        assert_allclose(rule.weights, [SQRT_PI])
+        nodes, weights = _bias_rule(BiasDistribution.gaussian(2.0), 1)
+        assert_allclose(nodes, [0.0], atol=1e-15)
+        assert_allclose(weights, [1.0])
 
     def test_two_point_rule(self):
-        # Roots of H_2(t) = 4 t^2 - 2 are +-1/sqrt(2), equal weights.
-        rule = gauss_hermite(2)
-        assert_allclose(rule.nodes, [-1 / np.sqrt(2), 1 / np.sqrt(2)])
-        assert_allclose(rule.weights, [SQRT_PI / 2, SQRT_PI / 2])
+        # Roots of H_2(t) = 4 t^2 - 2 are +-1/sqrt(2), i.e. b = +-sd.
+        nodes, weights = _bias_rule(BiasDistribution.gaussian(0.5), 2)
+        assert_allclose(nodes, [-0.5, 0.5])
+        assert_allclose(weights, [0.5, 0.5])
 
     def test_second_moment_with_two_points(self):
-        rule = gauss_hermite(2)
-        assert_allclose(np.dot(rule.weights, np.asarray(rule.nodes) ** 2),
-                        SQRT_PI / 2, rtol=1e-14)
+        nodes, weights = _bias_rule(BiasDistribution.gaussian(2.0), 2)
+        assert_allclose(np.dot(weights, nodes**2), 4.0, rtol=1e-14)
 
     def test_nodes_increasing_weights_positive(self):
         for n in (1, 2, 7, 64, 256):
-            rule = gauss_hermite(n)
-            assert np.all(np.diff(rule.nodes) > 0)
-            assert np.all(np.asarray(rule.weights) > 0)
-            assert rule.measure_tag == "gauss-hermite"
+            nodes, weights = _bias_rule(BiasDistribution.gaussian(1.0), n)
+            assert np.all(np.diff(nodes) > 0)
+            assert np.all(weights > 0)
+        nodes, weights = _bias_rule(BiasDistribution.point_mass(), 64)
+        assert nodes.tolist() == [0.0] and weights.tolist() == [1.0]
 
     @pytest.mark.parametrize("n", [0, -3, 257])
     def test_order_out_of_range(self, n):
-        with pytest.raises(InvalidArgumentError):
-            gauss_hermite(n)
+        for orders in ((n, 64), (64, n)):
+            with pytest.raises(InvalidArgumentError):
+                expectation_2d(lambda z, b: z**2, 1.0,
+                               BiasDistribution.gaussian(1.0), orders)
 
     def test_exactness_all_monomials(self):
-        # Exact for t^k against exp(-t^2) up to degree 2n-1, every n <= 32.
-        for n in range(1, 33):
-            rule = gauss_hermite(n)
-            nodes = np.asarray(rule.nodes)
+        # Exact for E[b^k] up to degree 2n-1, every n <= 32.
+        for sd, n in itertools.product((0.5, 2.0), range(1, 33)):
+            nodes, weights = _bias_rule(BiasDistribution.gaussian(sd), n)
             for k in range(0, 2 * n):
-                got = np.dot(rule.weights, nodes**k)
+                got = np.dot(weights, nodes**k)
                 if k % 2 == 1:
-                    # Exact value 0; scale round-off by the absolute sum.
-                    scale = np.dot(rule.weights, np.abs(nodes) ** k)
+                    # Exact value 0; scale round-off by the absolute moment.
+                    scale = np.dot(weights, np.abs(nodes) ** k)
                     assert abs(got) < 1e-10 * scale + 1e-12
                 else:
-                    # int t^k e^{-t^2} dt = Gamma((k+1)/2)
-                    from math import gamma
-
-                    exact = gamma((k + 1) / 2)
-                    assert_allclose(got, exact, rtol=1e-10)
+                    assert_allclose(got, _gaussian_moment(sd, k), rtol=1e-10)
 
 
 class TestGaussLegendre:
+    """The uniform bias law's probability rule, built on Gauss-Legendre."""
+
     def test_midpoint_rule(self):
-        rule = gauss_legendre(1, -1.0, 1.0)
-        assert_allclose(rule.nodes, [0.0], atol=1e-15)
-        assert_allclose(rule.weights, [2.0])
+        nodes, weights = _bias_rule(BiasDistribution.uniform(-1.0, 1.0), 1)
+        assert_allclose(nodes, [0.0], atol=1e-15)
+        assert_allclose(weights, [1.0])
 
     def test_t_squared(self):
-        rule = gauss_legendre(2, -1.0, 1.0)
-        assert_allclose(np.dot(rule.weights, np.asarray(rule.nodes) ** 2),
-                        2.0 / 3.0, rtol=1e-14)
+        nodes, weights = _bias_rule(BiasDistribution.uniform(-1.0, 1.0), 2)
+        assert_allclose(np.dot(weights, nodes**2), 1.0 / 3.0, rtol=1e-14)
 
     @pytest.mark.parametrize("n", [1, 3, 17])
     def test_constant_on_0_2pi(self, n):
-        rule = gauss_legendre(n, 0.0, 2 * np.pi)
-        assert_allclose(np.sum(rule.weights), 2 * np.pi, rtol=1e-14)
+        _, weights = _bias_rule(BiasDistribution.uniform(0.0, 2 * np.pi), n)
+        assert_allclose(np.sum(weights), 1.0, rtol=1e-14)
 
     def test_bad_interval(self):
         with pytest.raises(InvalidArgumentError):
-            gauss_legendre(4, 1.0, 1.0)
+            BiasDistribution.uniform(1.0, 1.0)
         with pytest.raises(InvalidArgumentError):
-            gauss_legendre(4, 2.0, -1.0)
+            BiasDistribution.uniform(2.0, -1.0)
 
     def test_exactness_all_monomials(self):
         a, b = 0.25, 3.0
+        bias = BiasDistribution.uniform(a, b)
         for n in range(1, 33):
-            rule = gauss_legendre(n, a, b)
-            nodes = np.asarray(rule.nodes)
+            nodes, weights = _bias_rule(bias, n)
             for k in range(0, 2 * n):
-                exact = (b ** (k + 1) - a ** (k + 1)) / (k + 1)
-                assert_allclose(np.dot(rule.weights, nodes**k), exact,
-                                rtol=1e-10)
+                exact = (b ** (k + 1) - a ** (k + 1)) / ((k + 1) * (b - a))
+                assert_allclose(np.dot(weights, nodes**k), exact, rtol=1e-10)
 
 
 class TestExpectation2D:
@@ -157,6 +161,23 @@ class TestExpectation2D:
         small = expectation_2d(lambda z, b: np.cos(z + b) ** 2, *args)
         large = expectation_2d(lambda z, b: np.cos(z + b) ** 2 + shift, *args)
         assert large >= small - 1e-12
+
+    @pytest.mark.parametrize("orders", [(512, 64), (64, 512)])
+    @pytest.mark.parametrize("kinked", [False, True])
+    @pytest.mark.parametrize("bias", [UNIFORM, GAUSSIAN, POINT])
+    def test_order_cap_on_every_route(self, bias, kinked, orders):
+        kinks = (lambda b: -b) if kinked else None
+        with pytest.raises(InvalidArgumentError):
+            expectation_2d(lambda z, b: np.maximum(z + b, 0.0), 1.0, bias,
+                           orders, kinks)
+
+    @pytest.mark.parametrize("kinked", [False, True])
+    @pytest.mark.parametrize("bias", [UNIFORM, GAUSSIAN, POINT])
+    def test_top_order_accepted(self, bias, kinked):
+        kinks = (lambda b: -b) if kinked else None
+        value = expectation_2d(lambda z, b: np.ones_like(z + b), 1.0, bias,
+                               (256, 256), kinks)
+        assert_allclose(value, 1.0, rtol=1e-12)
 
     def test_adaptive_error_estimate(self):
         value, err = expectation_2d_adaptive(lambda z, b: z**2, 1.0,
@@ -252,7 +273,7 @@ class TestMaximizeScalar:
         assert res.evaluations > 0
 
     def test_nan_propagates(self):
-        with pytest.raises(EvaluationFailureError):
+        with pytest.raises(NumericalFailureError):
             maximize_scalar(lambda r: np.nan, (0.0, 1.0), 1e-8)
 
 
@@ -364,12 +385,12 @@ class TestHessianFD:
 
     def test_isotropic_gaussian(self):
         kernel = gaussian_kernel(np.eye(2))
-        h, _ = hessian_fd(lambda d: kernel.kappa(d), 2)
+        h, _ = hessian_fd(lambda d: kappa_eval(kernel, d), 2)
         assert_allclose(h, -np.eye(2), atol=1e-4)
 
     def test_matern(self):
         kernel = matern_kernel(2.0, np.eye(2))
-        h, _ = hessian_fd(lambda d: kernel.kappa(d), 2)
+        h, _ = hessian_fd(lambda d: kappa_eval(kernel, d), 2)
         assert_allclose(-h, 2.0 * np.eye(2), atol=1e-3)
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
@@ -389,5 +410,5 @@ class TestHessianFD:
 
     def test_output_symmetric(self):
         kernel = matern_kernel(1.5, np.array([[2.0, 0.5], [0.5, 1.0]]))
-        h, _ = hessian_fd(lambda d: kernel.kappa(d), 2)
+        h, _ = hessian_fd(lambda d: kappa_eval(kernel, d), 2)
         assert_allclose(h, h.T, atol=0)
