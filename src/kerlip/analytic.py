@@ -216,13 +216,13 @@ def shift_invariant_lipschitz(kernel: ShiftInvariantKernel) -> LipschitzReport:
     """Lipschitz constant of a shift-invariant kernel's feature map.
 
     Finite second spectral moment gives
-    ``sqrt(kappa(0) lambda_max(Cov(w)))``; otherwise the feature map is
-    not Lipschitz and the value is infinite.
+    ``sqrt(kappa(0) lambda_max(Cov(w)))`` with ``kappa(0) = 1``; otherwise
+    the feature map is not Lipschitz and the value is infinite.
     """
     cov = second_moment_status(kernel.spectral)
     if cov is None:
         return LipschitzReport(value=math.inf, method="divergent")
-    value = math.sqrt(kernel.kappa0 * numerics.sym_eig_max(cov))
+    value = math.sqrt(numerics.sym_eig_max(cov))
     return LipschitzReport(value=value, method="thm41-covariance")
 
 

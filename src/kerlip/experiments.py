@@ -41,7 +41,7 @@ __all__ = [
 SWEEP_CSV_HEADER = "N,t_hat,quantile_index,lip_hat_mean,lip_hat_sd"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuantileSweepConfig:
     """Configuration of one quantile-convergence sweep.
 
@@ -90,7 +90,7 @@ class QuantileSweepConfig:
                 "kernel is divergent; no finite Lipschitz reference exists")
         kwargs.setdefault("lip_reference", report.value)
         return QuantileSweepConfig(
-            activation=scaled_cosine(kernel.kappa0),
+            activation=scaled_cosine(),
             weight_dist=kernel.spectral,
             bias_dist=BiasDistribution.uniform(0.0, 2.0 * np.pi),
             **kwargs)
@@ -175,7 +175,7 @@ def kernel_convergence_sweep(kernel: ShiftInvariantKernel,
 
     n_max = n_list[-1]
     fm = build_feature_map(kernel.spectral, BiasDistribution.uniform(0.0, 2.0 * np.pi),
-                           scaled_cosine(kernel.kappa0), n_max, derive_seed(seed, 0))
+                           scaled_cosine(), n_max, derive_seed(seed, 0))
     xs = np.stack([a for a, _ in pairs])
     ys = np.stack([b for _, b in pairs])
     # Unnormalized features: k_N is the mean of the first N products.

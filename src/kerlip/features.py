@@ -33,7 +33,7 @@ __all__ = [
 _BLOCK_ELEMENTS = 8192
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RandomFeatureMap:
     """Frozen draw ``(W, b, s, N)`` of a random feature map."""
 

@@ -1,11 +1,17 @@
 """Catalogue of activations, weight/bias laws and closed-form kernels.
 
-All types are immutable after construction.  Samplers are pure functions
-of ``(params, seed)`` built on counter-based Philox streams, so draws are
-reproducible and independent of call order.
+A weight law is one ``(shape, nu)`` pair: ``N(0, shape)`` when ``nu`` is
+``None``, else the Student law with ``2 nu`` degrees of freedom and shape
+matrix ``shape``.  Its second moment is finite iff ``nu`` is ``None`` or
+``nu > 1``, the test the shift-invariant result turns on.
+
+All types are immutable after construction: matrices are private
+read-only copies.  Samplers are pure functions of ``(params, seed)``
+built on counter-based Philox streams, so draws are reproducible and
+independent of call order.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -133,40 +139,49 @@ class BiasDistribution:
         return self.family in ("uniform", "gaussian")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightDistribution:
     """Weight law of a random feature / spectral measure of a kernel.
 
-    Families: ``isotropic-gaussian(gamma, d)``, ``gaussian-cov(cov)`` and
-    ``student-t`` with ``2 nu`` degrees of freedom and shape matrix
-    ``shape``.  The ``cauchy(d)`` constructor is not a family of its own:
-    it builds the ``nu = 1/2`` Student law with identity shape.
+    One law is a symmetric positive definite ``shape`` matrix and an
+    optional ``nu``.  With ``nu = None`` the law is ``N(0, shape)``; with
+    ``nu`` set it is the multivariate Student law with ``2 nu`` degrees
+    of freedom and shape matrix ``shape``, whose second moment is finite
+    iff ``nu > 1``.  The constructor keeps a read-only copy of ``shape``
+    and factors it once into its lower Cholesky factor ``chol``.
     """
 
-    family: str
-    d: int
-    gamma: Optional[float] = None
-    cov: Optional[np.ndarray] = None
+    shape: np.ndarray
     nu: Optional[float] = None
-    shape: Optional[np.ndarray] = None
+    chol: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if self.nu is not None and not self.nu > 0:
+            raise InvalidArgumentError(f"nu must be positive, got {self.nu}")
+        shape = _check_spd(self.shape).copy()
+        chol = np.linalg.cholesky(shape)
+        shape.flags.writeable = False
+        chol.flags.writeable = False
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "chol", chol)
+
+    @property
+    def d(self) -> int:
+        return self.shape.shape[0]
 
     @staticmethod
     def isotropic_gaussian(gamma: float, d: int) -> "WeightDistribution":
         if gamma <= 0:
             raise InvalidArgumentError(f"gamma must be positive, got {gamma}")
-        return WeightDistribution("isotropic-gaussian", d, gamma=float(gamma))
+        return WeightDistribution(float(gamma) ** 2 * np.eye(d))
 
     @staticmethod
     def gaussian_cov(cov: np.ndarray) -> "WeightDistribution":
-        cov = _check_spd(cov)
-        return WeightDistribution("gaussian-cov", cov.shape[0], cov=cov)
+        return WeightDistribution(cov)
 
     @staticmethod
     def student_t(nu: float, shape: np.ndarray) -> "WeightDistribution":
-        if nu <= 0:
-            raise InvalidArgumentError(f"nu must be positive, got {nu}")
-        shape = _check_spd(shape)
-        return WeightDistribution("student-t", shape.shape[0], nu=float(nu), shape=shape)
+        return WeightDistribution(shape, float(nu))
 
     @staticmethod
     def cauchy(d: int) -> "WeightDistribution":
@@ -175,8 +190,8 @@ class WeightDistribution:
 
 def _check_spd(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InvalidArgumentError(f"expected a square matrix, got shape {m.shape}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+        raise InvalidArgumentError(f"expected a nonempty square matrix, got shape {m.shape}")
     if np.max(np.abs(m - m.T)) > 1e-10 * max(np.max(np.abs(m)), 1.0):
         raise InvalidArgumentError("matrix must be symmetric")
     if np.any(np.linalg.eigvalsh(m) <= 0):
@@ -190,15 +205,15 @@ def second_moment_status(dist: WeightDistribution) -> Optional[np.ndarray]:
     Student weights with ``2 nu`` degrees of freedom are integrable in
     second moment iff ``nu > 1``; Cauchy weights (``nu = 1/2``) are not.
     """
-    if dist.family == "isotropic-gaussian":
-        return dist.gamma**2 * np.eye(dist.d)
-    if dist.family == "gaussian-cov":
-        return dist.cov.copy()
-    if dist.family == "student-t":
-        if dist.nu > 1.0:
-            return (2.0 * dist.nu / (2.0 * dist.nu - 2.0)) * dist.shape
-        return None
-    raise UnsupportedDistributionError(f"unknown weight family: {dist.family!r}")
+    if dist.nu is None:
+        return dist.shape.copy()
+    if dist.nu > 1.0:
+        return (2.0 * dist.nu / (2.0 * dist.nu - 2.0)) * dist.shape
+    return None
+
+
+#: Rows per in-place block of :func:`sample_weights` (1 MiB at d = 2).
+_DRAW_ROWS = 1 << 16
 
 
 def _stream(seed: int, key: int) -> np.random.Generator:
@@ -221,27 +236,24 @@ def sample_weights(dist: WeightDistribution, bias: BiasDistribution,
                    n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Draw ``n`` i.i.d. weight rows and biases, deterministically in ``seed``.
 
-    Student weights are sampled as gaussian divided by
-    ``sqrt(chi2(2 nu) / (2 nu))``.
+    Every law draws ``z @ chol.T`` with ``z`` standard normal; Student
+    weights divide that by ``sqrt(chi2(2 nu) / (2 nu))``.
     """
     if n < 1:
         raise InvalidArgumentError(f"need n >= 1, got {n}")
-    rng_w = _stream(seed, 0)
-
-    if dist.family == "isotropic-gaussian":
-        w = dist.gamma * rng_w.standard_normal((n, dist.d))
-    elif dist.family == "gaussian-cov":
-        chol = np.linalg.cholesky(dist.cov)
-        w = rng_w.standard_normal((n, dist.d)) @ chol.T
-    elif dist.family == "student-t":
+    w = _stream(seed, 0).standard_normal((n, dist.d))
+    # In place, in row blocks, so no second (n, d) array is held.  Near-equal
+    # blocks leave no one-row block: numpy computes that on another BLAS
+    # path, with other last bits than the same row in a larger product.
+    blocks = -(-n // _DRAW_ROWS)
+    rows = -(-n // blocks)
+    for start in range(0, n, rows):
+        block = w[start:start + rows]
+        block[...] = block @ dist.chol.T
+    if dist.nu is not None:
         df = 2.0 * dist.nu
-        chol = np.linalg.cholesky(dist.shape)
-        z = rng_w.standard_normal((n, dist.d)) @ chol.T
         mix = _stream(seed, 1).chisquare(df, size=n)
-        w = z / np.sqrt(mix / df)[:, None]
-    else:
-        raise UnsupportedDistributionError(f"no sampler for family {dist.family!r}")
-
+        w /= np.sqrt(mix / df)[:, None]
     rng_b = _stream(seed, 2)
     if bias.family == "uniform":
         a, b = bias.params
@@ -255,19 +267,22 @@ def sample_weights(dist: WeightDistribution, bias: BiasDistribution,
     return w, biases
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShiftInvariantKernel:
-    """Closed-form kernel ``k(x, y) = kappa(x - y)`` with its spectral law.
+    """Closed-form kernel ``k(x, y) = kappa(x - y)`` with ``kappa(0) = 1``.
 
     The spectral law carries the kernel's parameters: the Gaussian
-    ``Sigma`` is ``spectral.cov``, and the Matern ``nu`` and ``Sigma^-1``
-    are ``spectral.nu`` and ``spectral.shape``.
+    ``Sigma`` is ``spectral.shape`` (``nu`` is ``None``), the Matern ``nu``
+    and ``Sigma^-1`` are ``spectral.nu`` and ``spectral.shape``, and the
+    Laplace law is the Cauchy one, ``nu = 1/2`` with identity shape.
     """
 
     family: str
-    d: int
-    kappa0: float
     spectral: WeightDistribution
+
+    @property
+    def d(self) -> int:
+        return self.spectral.d
 
     def __call__(self, x: np.ndarray, y: np.ndarray) -> float:
         return kappa_eval(self, np.asarray(x, dtype=float) - np.asarray(y, dtype=float))
@@ -278,13 +293,7 @@ def gaussian_kernel(sigma: np.ndarray) -> ShiftInvariantKernel:
 
     Its normalized spectral measure is ``N(0, Sigma)``.
     """
-    sigma = _check_spd(sigma)
-    return ShiftInvariantKernel(
-        family="gaussian",
-        d=sigma.shape[0],
-        kappa0=1.0,
-        spectral=WeightDistribution.gaussian_cov(sigma),
-    )
+    return ShiftInvariantKernel("gaussian", WeightDistribution.gaussian_cov(sigma))
 
 
 def matern_kernel(nu: float, sigma: np.ndarray) -> ShiftInvariantKernel:
@@ -295,26 +304,14 @@ def matern_kernel(nu: float, sigma: np.ndarray) -> ShiftInvariantKernel:
     the multivariate Student law with ``2 nu`` degrees of freedom and
     shape matrix ``Sigma^-1``.
     """
-    if nu <= 0:
-        raise InvalidArgumentError(f"nu must be positive, got {nu}")
-    sigma = _check_spd(sigma)
-    shape = np.linalg.inv(sigma)
+    shape = np.linalg.inv(_check_spd(sigma))
     return ShiftInvariantKernel(
-        family="matern",
-        d=sigma.shape[0],
-        kappa0=1.0,
-        spectral=WeightDistribution.student_t(nu, 0.5 * (shape + shape.T)),
-    )
+        "matern", WeightDistribution.student_t(nu, 0.5 * (shape + shape.T)))
 
 
 def laplace_kernel(d: int) -> ShiftInvariantKernel:
     """Isotropic Laplace kernel ``exp(-||d||)`` with Cauchy spectral law."""
-    return ShiftInvariantKernel(
-        family="laplace",
-        d=d,
-        kappa0=1.0,
-        spectral=WeightDistribution.cauchy(d),
-    )
+    return ShiftInvariantKernel("laplace", WeightDistribution.cauchy(d))
 
 
 def kappa_eval(kernel: ShiftInvariantKernel, delta: np.ndarray) -> float:
@@ -328,7 +325,7 @@ def kappa_eval(kernel: ShiftInvariantKernel, delta: np.ndarray) -> float:
         raise InvalidArgumentError(
             f"delta has shape {delta.shape}, kernel dimension is {kernel.d}")
     if kernel.family == "gaussian":
-        return float(np.exp(-0.5 * delta @ kernel.spectral.cov @ delta))
+        return float(np.exp(-0.5 * delta @ kernel.spectral.shape @ delta))
     if kernel.family == "laplace":
         return float(np.exp(-np.linalg.norm(delta)))
     if kernel.family == "matern":

@@ -187,3 +187,15 @@ class TestSweepCsv:
     def test_unwritable_path(self):
         with pytest.raises(ExperimentIOError):
             write_sweep_csv([self.ROW], "/no/such/dir/sweep.csv")
+
+
+def test_frozen_types_compare_and_hash():
+    # Array fields make generated == and hash raise; these types compare by identity.
+    makers = [lambda: WeightDistribution.gaussian_cov(np.eye(2)),
+              lambda: gaussian_kernel(np.eye(2)),
+              lambda: build_feature_map(ISO_1D, UNIFORM_PHASE, scaled_cosine(), 4, 0),
+              small_config]
+    for make in makers:
+        a, b = make(), make()
+        assert (a == a) is True and (a == b) is False
+        assert {a: 1, b: 2}[a] == 1 and hash(a) == hash(a)

@@ -1,6 +1,7 @@
 """Every module's star-import works and its ``__all__`` names exist."""
 
 import importlib
+import inspect
 
 import pytest
 
@@ -15,3 +16,30 @@ def test_star_import_and_all_names(name):
     for export in getattr(module, "__all__", ()):
         assert hasattr(module, export), f"kerlip.{name}.__all__ lists missing {export!r}"
         assert export in namespace
+
+
+BENCH_READS = "bench/tracing.py reads this name; renaming it breaks the benchmark's trace"
+
+
+@pytest.mark.parametrize("module, function, argument", [
+    ("numerics", "expectation_2d", "zeta_kinks"),
+    ("numerics", "expectation_2d_adaptive", "rtol"),
+    ("analytic", "rnn_lipschitz", "act"),
+    ("features", "empirical_lipschitz", "fm"),
+    ("experiments", "quantile_sweep", "cfg"),
+    ("kernels", "sample_weights", "n"),
+])
+def test_argument_names_the_benchmark_reads(module, function, argument):
+    fn = getattr(importlib.import_module(f"kerlip.{module}"), function)
+    assert argument in inspect.signature(fn).parameters, BENCH_READS
+
+
+def test_results_the_benchmark_reads():
+    from kerlip.kernels import BiasDistribution
+    from kerlip.numerics import expectation_2d_adaptive, maximize_scalar
+
+    value, error = expectation_2d_adaptive(lambda z, b: z * z + 0 * b, 1.0,
+                                           BiasDistribution.point_mass(), rtol=1e-8)
+    assert isinstance(value, float) and error < 1e-8, BENCH_READS
+    result = maximize_scalar(lambda t: -(t - 0.3) ** 2, (0.0, 1.0), 1e-6)
+    assert result.evaluations > 0, BENCH_READS

@@ -1,5 +1,8 @@
 """Tests for activations, weight/bias laws and closed-form kernels."""
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,11 +11,13 @@ from numpy.testing import assert_allclose
 from scipy.special import gamma as gamma_fn
 from scipy.special import kv
 
-from kerlip.errors import InvalidArgumentError
+from kerlip.errors import InvalidArgumentError, UnsupportedDistributionError
 from kerlip.kernels import (
     ACTIVATIONS,
     BiasDistribution,
     WeightDistribution,
+    _DRAW_ROWS,
+    _stream,
     derive_seed,
     gaussian_kernel,
     kappa_eval,
@@ -199,17 +204,170 @@ class TestKappaEval:
         delta = rng.uniform(-3, 3, size=2)
         value = kappa_eval(kernel, delta)
         assert_allclose(value, kappa_eval(kernel, -delta), rtol=1e-12)
-        assert kernel.kappa0 >= abs(value)
+        assert kappa_eval(kernel, np.zeros(2)) >= abs(value)
 
     @pytest.mark.parametrize("kernel", [gaussian_kernel(np.diag([1.0, 2.0])),
                                         matern_kernel(2.0, np.eye(2))])
     def test_bochner_representation(self, kernel):
-        # E[kappa0 cos(w^T delta)] reproduces kappa for finite-moment laws.
+        # E[cos(w^T delta)] reproduces kappa (kappa(0) = 1) for finite-moment laws.
         bias = BiasDistribution.point_mass()
         w, _ = sample_weights(kernel.spectral, bias, 10**6, seed=17)
         rng = np.random.default_rng(99)
         for _ in range(10):
             delta = rng.uniform(-1, 1, size=2)
             delta *= min(1.0, 2.0 / np.linalg.norm(delta))
-            mc = kernel.kappa0 * np.mean(np.cos(w @ delta))
+            mc = np.mean(np.cos(w @ delta))
             assert_allclose(mc, kappa_eval(kernel, delta), atol=0.01)
+
+
+def _per_family_sampler(family, d, n, seed, gamma=None, cov=None, nu=None,
+                        shape=None, bias=None):
+    """The sampler as it was when each weight family had its own branch."""
+    rng_w = _stream(seed, 0)
+    if family == "isotropic":
+        w = gamma * rng_w.standard_normal((n, d))
+    elif family == "cov":
+        chol = np.linalg.cholesky(cov)
+        w = rng_w.standard_normal((n, d)) @ chol.T
+    else:
+        df = 2.0 * nu
+        chol = np.linalg.cholesky(shape)
+        z = rng_w.standard_normal((n, d)) @ chol.T
+        mix = _stream(seed, 1).chisquare(df, size=n)
+        w = z / np.sqrt(mix / df)[:, None]
+    rng_b = _stream(seed, 2)
+    if bias.family == "uniform":
+        a, b = bias.params
+        biases = a + (b - a) * rng_b.random(n)
+    elif bias.family == "gaussian":
+        biases = bias.params[0] * rng_b.standard_normal(n)
+    elif bias.family == "point":
+        biases = np.zeros(n)
+    else:
+        raise UnsupportedDistributionError(bias.family)
+    return w, biases
+
+
+class TestOneLawSampler:
+    """``z @ chol.T`` draws the same bits as the per-family branches did."""
+
+    PHASE = BiasDistribution.uniform(0.0, 2 * np.pi)
+
+    @pytest.mark.parametrize("gamma", [0.5, 2**-0.5, 1.0, 1.3, 2.0])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 16, 1024])
+    def test_isotropic_bit_identical(self, gamma, d, n):
+        got = sample_weights(WeightDistribution.isotropic_gaussian(gamma, d),
+                             self.PHASE, n, seed=7)
+        want = _per_family_sampler("isotropic", d, n, 7, gamma=gamma, bias=self.PHASE)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    def test_isotropic_montecarlo_chunk_bit_identical(self):
+        # 10^6 rows at d = 2 is the chunk of variance_decomposition_check.
+        n = 10**6
+        got, _ = sample_weights(WeightDistribution.isotropic_gaussian(1.3, 2),
+                                self.PHASE, n, seed=3)
+        want, _ = _per_family_sampler("isotropic", 2, n, 3, gamma=1.3, bias=self.PHASE)
+        assert np.array_equal(got, want)
+
+    # 2 * _DRAW_ROWS + 1 rows take three in-place blocks.
+    @pytest.mark.parametrize("n", [1, 999, 2 * _DRAW_ROWS + 1])
+    def test_gaussian_cov_bit_identical(self, n):
+        cov = np.array([[2.0, 0.6], [0.6, 1.0]])
+        got = sample_weights(WeightDistribution.gaussian_cov(cov), self.PHASE, n, seed=5)
+        want = _per_family_sampler("cov", 2, n, 5, cov=cov, bias=self.PHASE)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("nu", [0.5, 2.0, 200.0])
+    @pytest.mark.parametrize("n", [999, 2 * _DRAW_ROWS + 1])
+    def test_student_bit_identical(self, nu, n):
+        # The Matern shape Sigma^-1 of a non-diagonal Sigma.
+        inv = np.linalg.inv(np.array([[2.0, 0.3], [0.3, 1.0]]))
+        shape = 0.5 * (inv + inv.T)
+        got = sample_weights(WeightDistribution.student_t(nu, shape), self.PHASE, n, seed=9)
+        want = _per_family_sampler("student", 2, n, 9, nu=nu, shape=shape, bias=self.PHASE)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("bias", [BiasDistribution.uniform(-1.0, 3.0),
+                                      BiasDistribution.gaussian(0.7),
+                                      BiasDistribution.point_mass()])
+    def test_bias_laws_bit_identical(self, bias):
+        got = sample_weights(WeightDistribution.isotropic_gaussian(1.0, 2), bias, 333, seed=4)
+        want = _per_family_sampler("isotropic", 2, 333, 4, gamma=1.0, bias=bias)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def test_draw_holds_one_weight_array():
+    # The product runs in place: the peak is the (n, 2) weights plus the
+    # n biases, as when isotropic draws were a scaled copy of z.
+    n = 10**6
+    dist = WeightDistribution.isotropic_gaussian(1.3, 2)
+    tracemalloc.start()
+    try:
+        sample_weights(dist, BiasDistribution.point_mass(), n, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.1 * (3 * 8 * n)
+
+
+class TestWeightLaw:
+    @staticmethod
+    def _laws(matrix):
+        return {"gaussian_kernel": lambda: gaussian_kernel(matrix).spectral,
+                "gaussian_cov": lambda: WeightDistribution.gaussian_cov(matrix),
+                "student_t": lambda: WeightDistribution.student_t(2.0, matrix)}
+
+    def test_fields(self):
+        names = [f.name for f in dataclasses.fields(WeightDistribution)]
+        assert names == ["shape", "nu", "chol"]
+
+    @pytest.mark.parametrize("make", ["gaussian_kernel", "gaussian_cov", "student_t"])
+    def test_caller_matrix_is_copied(self, make):
+        matrix = np.array([[2.0, 0.6], [0.6, 1.0]])
+        law = self._laws(matrix)[make]()
+        chol = law.chol.copy()
+        matrix[1, 1] = 9.0
+        assert law.shape[1, 1] == 1.0
+        assert np.array_equal(law.chol, chol)
+
+    @pytest.mark.parametrize("make", ["gaussian_kernel", "gaussian_cov", "student_t"])
+    def test_matrices_read_only(self, make):
+        law = self._laws(np.eye(2))[make]()
+        with pytest.raises(ValueError):
+            law.shape[0, 0] = 5.0
+        with pytest.raises(ValueError):
+            law.chol[0, 0] = 5.0
+
+    def test_cholesky_once_at_construction(self, monkeypatch):
+        calls = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky",
+                            lambda m: calls.append(1) or cholesky(m))
+        laws = [WeightDistribution.isotropic_gaussian(1.0, 2),
+                WeightDistribution.gaussian_cov(np.diag([1.0, 4.0])),
+                WeightDistribution.student_t(2.0, np.eye(2))]
+        assert len(calls) == 3
+        for law in laws:
+            sample_weights(law, BiasDistribution.point_mass(), 10, seed=0)
+        assert len(calls) == 3
+
+    def test_dimension(self):
+        kernel = matern_kernel(2.0, np.eye(3))
+        assert kernel.d == kernel.spectral.d == 3
+        assert WeightDistribution.isotropic_gaussian(1.0, 2).d == 2
+
+    @pytest.mark.parametrize("nu", [0.0, -1.0, float("nan")])
+    def test_bad_nu_rejected(self, nu):
+        with pytest.raises(InvalidArgumentError, match="nu must be positive"):
+            WeightDistribution.student_t(nu, np.eye(2))
+        with pytest.raises(InvalidArgumentError, match="nu must be positive"):
+            matern_kernel(nu, np.eye(2))
+
+    def test_bad_shape_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="positive definite"):
+            WeightDistribution.gaussian_cov(np.diag([1.0, -1.0]))
+        with pytest.raises(InvalidArgumentError, match="square"):
+            WeightDistribution.student_t(2.0, np.ones((2, 3)))
+        with pytest.raises(InvalidArgumentError, match="square"):
+            WeightDistribution.isotropic_gaussian(1.0, 0)
