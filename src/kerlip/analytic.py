@@ -197,9 +197,18 @@ def variance_decomposition_check(act: Activation, gamma: float,
     while remaining > 0:
         m = min(remaining, 1_000_000)
         w, b = sample_weights(dist, bias, m, derive_seed(seed, chunk_index))
-        vals = ((w @ z) * act.derivative(w @ x + b)) ** 2
+        # ((w @ z) * s'(w @ x + b))**2 and its square, in place in two
+        # arrays; each array is freed as soon as it is no longer read.
+        vals = w @ z
+        pre = w @ x
+        pre += b
+        del w, b
+        vals *= act.derivative(pre)
+        np.square(vals, out=vals)
         total += float(np.sum(vals))
-        total_sq += float(np.sum(vals**2))
+        np.square(vals, out=vals)
+        total_sq += float(np.sum(vals))
+        del vals, pre
         remaining -= m
         chunk_index += 1
     n = float(mc_samples)

@@ -45,7 +45,9 @@ class Activation:
 
     ``derivative`` is defined as 0 at the points listed in ``kinks``
     (the non-differentiable set), which keeps directional derivatives
-    measurable everywhere.
+    measurable everywhere.  ``sine_amplitude`` is ``a`` when
+    ``derivative(u) = -a sin(u)``, and ``None`` otherwise; the grid
+    estimator then computes sines by phase rotation.
     """
 
     name: str
@@ -53,6 +55,7 @@ class Activation:
     derivative: Callable[[np.ndarray], np.ndarray]
     lipschitz_bound: float
     kinks: tuple[float, ...] = ()
+    sine_amplitude: Optional[float] = None
 
 
 def scaled_cosine(kappa0: float = 1.0) -> Activation:
@@ -63,6 +66,7 @@ def scaled_cosine(kappa0: float = 1.0) -> Activation:
         value=lambda u: amp * np.cos(u),
         derivative=lambda u: -amp * np.sin(u),
         lipschitz_bound=float(amp),
+        sine_amplitude=float(amp),
     )
 
 

@@ -29,11 +29,13 @@ from kerlip.errors import (
 from kerlip.kernels import (
     BiasDistribution,
     WeightDistribution,
+    derive_seed,
     gaussian_kernel,
     identity,
     laplace_kernel,
     matern_kernel,
     relu,
+    sample_weights,
     scaled_cosine,
     tanh_activation,
 )
@@ -166,6 +168,24 @@ class TestVarianceDecomposition:
                                              mc_samples=10**6, seed=2)
         assert_allclose(check.rhs, 1.0, rtol=1e-6)
         assert abs(check.lhs - check.rhs) <= 3 * check.lhs_stderr
+
+    @pytest.mark.parametrize("act", [relu(), tanh_activation()], ids=lambda a: a.name)
+    def test_in_place_chunks_match_plain_loop(self, act):
+        # The chunk loop with fresh temporaries for every operation.
+        x, z, samples, seed = np.array([0.6, 0.8]), np.array([1.0, -0.3]), 1_500_000, 7
+        dist = WeightDistribution.isotropic_gaussian(1.0, 2)
+        total = total_sq = 0.0
+        for chunk, m in enumerate((1_000_000, 500_000)):
+            w, b = sample_weights(dist, STD_GAUSSIAN_BIAS, m, derive_seed(seed, chunk))
+            vals = ((w @ z) * act.derivative(w @ x + b)) ** 2
+            total += float(np.sum(vals))
+            total_sq += float(np.sum(vals**2))
+        lhs = total / samples
+        stderr = math.sqrt(max(total_sq / samples - lhs**2, 0.0) / samples)
+        check = variance_decomposition_check(act, 1.0, STD_GAUSSIAN_BIAS, x, z,
+                                             mc_samples=samples, seed=seed)
+        assert check.lhs == lhs
+        assert check.lhs_stderr == stderr
 
     def test_zero_x_rejected(self):
         with pytest.raises(InvalidArgumentError):

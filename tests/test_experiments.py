@@ -22,6 +22,7 @@ from kerlip.kernels import (
     WeightDistribution,
     derive_seed,
     gaussian_kernel,
+    kappa_eval,
     laplace_kernel,
     scaled_cosine,
 )
@@ -98,9 +99,12 @@ class TestQuantileSweep:
             assert row.quantile_index == math.ceil(delta * i)
 
     def test_thread_count_does_not_change_results(self):
-        rows_serial = quantile_sweep(small_config(realizations=16))
-        rows_parallel = quantile_sweep(small_config(realizations=16, threads=4))
-        assert rows_serial == rows_parallel
+        # Blocks of realizations split evenly, unevenly, and with idle workers.
+        for realizations, threads in ((16, 4), (7, 3), (3, 8)):
+            rows_serial = quantile_sweep(small_config(realizations=realizations))
+            rows_parallel = quantile_sweep(small_config(realizations=realizations,
+                                                        threads=threads))
+            assert rows_serial == rows_parallel
 
     def test_nested_mode_prefix_coupling(self):
         # With nesting on, realization i at larger N extends the same draw.
@@ -151,6 +155,26 @@ class TestKernelConvergence:
         log_err = np.log([e for _, e in results])
         slope = np.polyfit(log_n, log_err, 1)[0]
         assert -0.7 <= slope <= -0.3
+
+    @pytest.mark.parametrize("pairs", [
+        PAIRS,
+        [(np.array([a]), np.array([-a - 0.05])) for a in np.linspace(-1, 1, 6)],
+        [(np.array([a, b]), np.array([b, a])) for a in (-0.5, 0.25) for b in (0.0, 1.0)],
+    ], ids=["product-grid", "no-repeated-point", "d2"])
+    def test_one_feature_row_per_point_keeps_every_bit(self, pairs):
+        kernel = gaussian_kernel(np.eye(pairs[0][0].size))
+        n_list, seed = [16, 256, 4096], 3
+        # The sweep with one feature row per pair side.
+        fm = build_feature_map(kernel.spectral, UNIFORM_PHASE, scaled_cosine(),
+                               n_list[-1], derive_seed(seed, 0))
+        scale = np.sqrt(n_list[-1])
+        feat_x = fm.evaluate_batch(np.stack([a for a, _ in pairs])) * scale
+        feat_y = fm.evaluate_batch(np.stack([b for _, b in pairs])) * scale
+        partial = np.cumsum(feat_x * feat_y, axis=1)
+        exact = np.array([kappa_eval(kernel, a - b) for a, b in pairs])
+        expected = [(n, float(np.max(np.abs(partial[:, n - 1] / n - exact))))
+                    for n in n_list]
+        assert kernel_convergence_sweep(kernel, n_list, pairs, seed) == expected
 
     def test_empty_pair_grid_rejected(self):
         with pytest.raises(InvalidConfigurationError):

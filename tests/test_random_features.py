@@ -4,12 +4,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from kerlip.errors import InvalidArgumentError
 from kerlip.features import (
     _BLOCK_ELEMENTS,
     RandomFeatureMap,
+    _uniform_step,
     build_feature_map,
     default_grid_1d,
     empirical_kernel,
@@ -236,7 +239,8 @@ class TestBlockedEstimatorBitIdentity:
         rng = np.random.default_rng(n + d)
         sizes = {1, max(1, rows // 2), 2 * rows + 1, 2 * rows + 3}
         grids = [rng.uniform(-1.0, 1.0, size=(size, d)) for size in sorted(sizes)]
-        if d == 1:
+        if d == 1 and act.sine_amplitude is None:
+            # Cosine features on this uniform grid take the rotation route.
             grids.append(default_grid_1d())
         for grid in grids:
             value, argmax = empirical_lipschitz(fm, grid)
@@ -263,6 +267,61 @@ class TestBlockedEstimatorBitIdentity:
         assert np.array_equal(argmax, grid[1])
         assert value == ref_value
         assert np.array_equal(argmax, ref_argmax)
+
+
+ROTATION_RTOL = 1e-12
+
+
+def _assert_matches_sin_route(fm, grid):
+    """Value and argmax of the rotation route against ``_one_shot_estimator``.
+
+    The reference runs on slices of 256 rows, which bounds its
+    temporaries on large grids; near-ties may move the argmax, so the
+    reference's norm at the returned point is held to the same tolerance.
+    """
+    value, argmax = empirical_lipschitz(fm, grid)
+    ref_value = max(_one_shot_estimator(fm, grid[lo:lo + 256])[0]
+                    for lo in range(0, len(grid), 256))
+    at_argmax, _ = _one_shot_estimator(fm, argmax[None, :])
+    assert abs(value - ref_value) <= ROTATION_RTOL * ref_value
+    assert abs(at_argmax - ref_value) <= ROTATION_RTOL * ref_value
+    assert any(np.array_equal(argmax, point) for point in grid)
+
+
+class TestRotationRoute:
+    """Cosine features on a uniform d=1 grid: phases by rotation, not np.sin."""
+
+    @pytest.mark.parametrize("n", [1, 7, 16, 255, 1024, 4096])
+    def test_default_grid_matches_sin_route(self, n):
+        fm = build_feature_map(ISO_1D, UNIFORM_PHASE, scaled_cosine(), n, 17 * n + 1)
+        _assert_matches_sin_route(fm, default_grid_1d())
+
+    @given(n_points=st.integers(2, 5000),
+           x0=st.floats(-5.0, 5.0),
+           span=st.floats(-10.0, 10.0),
+           n=st.integers(1, 4096),
+           student=st.booleans(),
+           kappa0=st.sampled_from([0.5, 1.0, 2.0]),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_uniform_grids_match_sin_route(self, n_points, x0, span, n, student,
+                                           kappa0, seed):
+        dist = WeightDistribution.student_t(2.0, np.eye(1)) if student else ISO_1D
+        fm = build_feature_map(dist, UNIFORM_PHASE, scaled_cosine(kappa0), n, seed)
+        grid = np.linspace(x0, x0 + span, n_points)[:, None]
+        _assert_matches_sin_route(fm, grid)
+
+    def test_route_needs_a_uniform_grid_of_two_points(self):
+        grid = default_grid_1d()[:, 0]
+        assert _uniform_step(grid) == (grid[-1] - grid[0]) / 98
+        assert _uniform_step(np.linspace(-3.0, 2.0, 5000)) is not None
+        assert _uniform_step(grid[:1]) is None
+        bent = grid.copy()
+        bent[50] += 1e-14
+        assert _uniform_step(bent) is None
+        for act in (relu(), tanh_activation(), identity()):
+            assert act.sine_amplitude is None
+        assert scaled_cosine(2.0).sine_amplitude == 2.0
 
 
 class TestDefaultGrid:
