@@ -7,6 +7,9 @@ and Monte-Carlo cross-checks.
 """
 
 import math
+import operator
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -19,9 +22,11 @@ from .kernels import (
     BiasDistribution,
     ShiftInvariantKernel,
     WeightDistribution,
+    _draw_rows,
+    _law_streams,
+    _row_blocks,
     derive_seed,
     kappa_eval,
-    sample_weights,
     second_moment_status,
 )
 
@@ -168,6 +173,19 @@ class VarianceCheck:
     lhs_stderr: float
 
 
+#: Samples per Monte-Carlo chunk, and rows per draw block in a chunk
+#: (64 KiB of weights at d = 2).
+_MC_CHUNK = 1_000_000
+_MC_BLOCK_ROWS = 4096
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def variance_decomposition_check(act: Activation, gamma: float,
                                  bias: BiasDistribution, x: np.ndarray,
                                  z: np.ndarray, mc_samples: int,
@@ -177,10 +195,24 @@ def variance_decomposition_check(act: Activation, gamma: float,
     The left side is estimated by Monte Carlo over ``w ~ N(0, gamma^2 I)``
     and the bias law; the right side is
     ``(x^T z)^2 / ||x||^2 * beta(||x||) + ||z||^2 gamma^2 alpha(||x||)``
-    computed by quadrature.
+    computed by quadrature.  The samples come in chunks of 10^6, each
+    seeded from ``seed`` and its index; the chunks run on every usable
+    core, and the result is bit-identical at any core count.
     """
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
+    if x.ndim != 1 or x.shape != z.shape:
+        raise InvalidArgumentError(
+            f"x and z must be vectors of one length, got shapes {x.shape} and {z.shape}")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(z))):
+        raise InvalidArgumentError("x and z must be finite")
+    try:
+        n = operator.index(mc_samples)
+    except TypeError:
+        raise InvalidArgumentError(
+            f"mc_samples must be an integer, got {mc_samples!r}") from None
+    if n < 1:
+        raise InvalidArgumentError(f"need mc_samples >= 1, got {n}")
     norm_x = np.linalg.norm(x)
     if norm_x == 0.0:
         raise InvalidArgumentError(
@@ -188,37 +220,53 @@ def variance_decomposition_check(act: Activation, gamma: float,
     if np.linalg.norm(z) == 0.0:
         raise InvalidArgumentError("z must be nonzero")
 
-    d = x.size
-    dist = WeightDistribution.isotropic_gaussian(gamma, d)
-    total = 0.0
-    total_sq = 0.0
-    remaining = int(mc_samples)
-    chunk_index = 0
-    while remaining > 0:
-        m = min(remaining, 1_000_000)
-        w, b = sample_weights(dist, bias, m, derive_seed(seed, chunk_index))
-        # ((w @ z) * s'(w @ x + b))**2 and its square, in place in two
-        # arrays; each array is freed as soon as it is no longer read.
-        vals = w @ z
-        pre = w @ x
-        pre += b
-        del w, b
-        vals *= act.derivative(pre)
-        np.square(vals, out=vals)
-        total += float(np.sum(vals))
-        np.square(vals, out=vals)
-        total_sq += float(np.sum(vals))
-        del vals, pre
-        remaining -= m
-        chunk_index += 1
-    n = float(mc_samples)
+    dist = WeightDistribution.isotropic_gaussian(gamma, x.size)
+    sizes = [min(_MC_CHUNK, n - lo) for lo in range(0, n, _MC_CHUNK)]
+    seeds = [derive_seed(seed, i) for i in range(len(sizes))]
+    workers = min(len(sizes), _usable_cpus())
+    # Each worker's buffers are made here: glibc keeps a thread's own arena
+    # after its arrays are freed, which would raise the resident peak.
+    rows = min(sizes[0], _MC_BLOCK_ROWS)
+    buffers = [(np.empty(sizes[0]), np.empty((rows, x.size)), np.empty(rows))
+               for _ in range(workers)]
+
+    def chunk_sums(worker):
+        """``(sum, sum of squares)`` of the squared values of every
+        ``workers``-th chunk from ``worker`` on."""
+        vals, w, b = buffers[worker]
+        sums = []
+        for i in range(worker, len(sizes), workers):
+            streams = _law_streams(dist, seeds[i])
+            for lo, hi in _row_blocks(sizes[i], rows):
+                wk, bk, out = w[:hi - lo], b[:hi - lo], vals[lo:hi]
+                _draw_rows(dist, bias, streams, wk, bk)
+                np.matmul(wk, z, out=out)
+                pre = wk @ x
+                pre += bk
+                out *= act.derivative(pre)
+            # Square and sum the whole chunk, so numpy's pairwise sum
+            # adds in the same order as over one chunk array.
+            chunk = vals[:sizes[i]]
+            np.square(chunk, out=chunk)
+            total = float(np.sum(chunk))
+            np.square(chunk, out=chunk)
+            sums.append((total, float(np.sum(chunk))))
+        return sums
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        per_worker = list(pool.map(chunk_sums, range(workers)))
+    total = total_sq = 0.0
+    for i in range(len(sizes)):
+        chunk_total, chunk_sq = per_worker[i % workers][i // workers]
+        total += chunk_total
+        total_sq += chunk_sq
     lhs = total / n
     var = max(total_sq / n - lhs**2, 0.0)
     stderr = math.sqrt(var / n)
 
     alpha, beta = alpha_beta(act, gamma, bias, norm_x)
     rhs = (float(x @ z) ** 2 / norm_x**2) * beta + float(z @ z) * gamma**2 * alpha
-    return VarianceCheck(lhs=lhs, rhs=rhs, lhs_stderr=stderr)
+    return VarianceCheck(lhs=lhs, rhs=float(rhs), lhs_stderr=stderr)
 
 
 def shift_invariant_lipschitz(kernel: ShiftInvariantKernel) -> LipschitzReport:

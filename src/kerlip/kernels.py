@@ -236,6 +236,52 @@ def derive_seed(seed: int, *indices: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def _row_blocks(n: int, rows: int):
+    """``(lo, hi)`` bounds of ``ceil(n / rows)`` near-equal blocks of ``n`` rows.
+
+    For ``rows >= 3`` they leave no one-row block unless ``n == 1``: numpy
+    computes a one-row product on another BLAS path, with other last bits
+    than the same row in a larger product.
+    """
+    blocks = -(-n // rows)
+    return [(n * k // blocks, n * (k + 1) // blocks) for k in range(blocks)]
+
+
+def _law_streams(dist: WeightDistribution, seed: int) -> tuple:
+    """The Philox streams of one draw: the normals, the Student mix (or
+    ``None``) and the bias."""
+    return (_stream(seed, 0), _stream(seed, 1) if dist.nu is not None else None,
+            _stream(seed, 2))
+
+
+def _draw_rows(dist: WeightDistribution, bias: BiasDistribution, streams: tuple,
+               w: np.ndarray, b: np.ndarray) -> None:
+    """Fill ``w[k, d]`` and ``b[k]`` with the next ``k`` draws of ``streams``.
+
+    Consecutive calls draw what one call over all their rows would: each
+    stream is read in row order.
+    """
+    normals, mix_stream, bias_stream = streams
+    normals.standard_normal(out=w)
+    w[...] = w @ dist.chol.T
+    if dist.nu is not None:
+        df = 2.0 * dist.nu
+        mix = mix_stream.chisquare(df, size=len(w))
+        w /= np.sqrt(mix / df)[:, None]
+    if bias.family == "uniform":
+        lo, hi = bias.params
+        bias_stream.random(out=b)
+        b *= hi - lo
+        b += lo
+    elif bias.family == "gaussian":
+        bias_stream.standard_normal(out=b)
+        b *= bias.params[0]
+    elif bias.family == "point":
+        b[...] = 0.0
+    else:
+        raise UnsupportedDistributionError(f"no sampler for bias family {bias.family!r}")
+
+
 def sample_weights(dist: WeightDistribution, bias: BiasDistribution,
                    n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Draw ``n`` i.i.d. weight rows and biases, deterministically in ``seed``.
@@ -245,29 +291,12 @@ def sample_weights(dist: WeightDistribution, bias: BiasDistribution,
     """
     if n < 1:
         raise InvalidArgumentError(f"need n >= 1, got {n}")
-    w = _stream(seed, 0).standard_normal((n, dist.d))
-    # In place, in row blocks, so no second (n, d) array is held.  Near-equal
-    # blocks leave no one-row block: numpy computes that on another BLAS
-    # path, with other last bits than the same row in a larger product.
-    blocks = -(-n // _DRAW_ROWS)
-    rows = -(-n // blocks)
-    for start in range(0, n, rows):
-        block = w[start:start + rows]
-        block[...] = block @ dist.chol.T
-    if dist.nu is not None:
-        df = 2.0 * dist.nu
-        mix = _stream(seed, 1).chisquare(df, size=n)
-        w /= np.sqrt(mix / df)[:, None]
-    rng_b = _stream(seed, 2)
-    if bias.family == "uniform":
-        a, b = bias.params
-        biases = a + (b - a) * rng_b.random(n)
-    elif bias.family == "gaussian":
-        biases = bias.params[0] * rng_b.standard_normal(n)
-    elif bias.family == "point":
-        biases = np.zeros(n)
-    else:
-        raise UnsupportedDistributionError(f"no sampler for bias family {bias.family!r}")
+    w = np.empty((n, dist.d))
+    biases = np.empty(n)
+    streams = _law_streams(dist, seed)
+    # In row blocks, so that the product holds no second (n, d) array.
+    for lo, hi in _row_blocks(n, _DRAW_ROWS):
+        _draw_rows(dist, bias, streams, w[lo:hi], biases[lo:hi])
     return w, biases
 
 

@@ -1,12 +1,13 @@
 """Tests for the exact Lipschitz evaluators and their oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from kerlip import numerics
+from kerlip import analytic, numerics
 from kerlip.analytic import (
     CSV_HEADER,
     LipschitzReport,
@@ -187,10 +188,60 @@ class TestVarianceDecomposition:
         assert check.lhs == lhs
         assert check.lhs_stderr == stderr
 
+    @pytest.mark.parametrize("act, bias", [(relu(), STD_GAUSSIAN_BIAS),
+                                           (scaled_cosine(), UNIFORM_PHASE),
+                                           (identity(), BiasDistribution.point_mass())],
+                             ids=["relu", "cos", "identity"])
+    def test_core_count_keeps_every_bit(self, act, bias, monkeypatch):
+        # Three chunks, the last one partial, on one, two and three workers.
+        x, z = np.array([0.6, 0.8]), np.array([1.0, -0.3])
+        checks = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(analytic, "_usable_cpus", lambda workers=workers: workers)
+            checks.append(variance_decomposition_check(act, 1.0, bias, x, z,
+                                                       mc_samples=2_500_000, seed=11))
+        assert checks[0] == checks[1] == checks[2]
+
+    def test_memory_per_worker_is_one_chunk(self):
+        # Each worker holds one 8 MB chunk of values and 64 KiB blocks of draws.
+        samples = 3_000_000
+        workers = min(samples // 1_000_000, analytic._usable_cpus())
+        tracemalloc.start()
+        try:
+            variance_decomposition_check(relu(), 1.0, STD_GAUSSIAN_BIAS, np.array([0.6, 0.8]),
+                                         np.array([1.0, -0.3]), mc_samples=samples, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < workers * 1.1 * 8e6 + 2**20
+
+    def test_rhs_is_a_python_float(self):
+        check = variance_decomposition_check(relu(), 1.0, STD_GAUSSIAN_BIAS, np.array([0.6, 0.8]),
+                                             np.array([1.0, -0.3]), mc_samples=100, seed=0)
+        assert type(check.rhs) is float
+
     def test_zero_x_rejected(self):
         with pytest.raises(InvalidArgumentError):
             variance_decomposition_check(relu(), 1.0, STD_GAUSSIAN_BIAS,
                                          np.zeros(2), np.ones(2), 100, 0)
+
+    @pytest.mark.parametrize("samples", [0, -5, 10.7])
+    def test_bad_sample_count_rejected(self, samples):
+        with pytest.raises(InvalidArgumentError):
+            variance_decomposition_check(relu(), 1.0, STD_GAUSSIAN_BIAS, np.array([0.6, 0.8]),
+                                         np.array([1.0, -0.3]), samples, 0)
+
+    @pytest.mark.parametrize("x, z", [(np.ones(2), np.ones(3)),
+                                      (np.ones((2, 2)), np.ones((2, 2)))],
+                             ids=["lengths", "2d"])
+    def test_bad_shapes_rejected(self, x, z):
+        with pytest.raises(InvalidArgumentError):
+            variance_decomposition_check(relu(), 1.0, STD_GAUSSIAN_BIAS, x, z, 100, 0)
+
+    def test_nan_x_rejected(self):
+        with pytest.raises(InvalidArgumentError):
+            variance_decomposition_check(relu(), 1.0, STD_GAUSSIAN_BIAS,
+                                         np.array([np.nan, 1.0]), np.ones(2), 100, 0)
 
     def test_alpha_beta_sum_to_nu(self):
         # gamma^2 alpha(a) + beta(a) = nu(a) by construction.
