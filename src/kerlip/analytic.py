@@ -9,22 +9,20 @@ and Monte-Carlo cross-checks.
 import math
 import operator
 import os
+import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from . import numerics
+from . import kernels, numerics
 from .errors import HypothesisViolationError, InvalidArgumentError, NumericalFailureError
 from .kernels import (
     Activation,
     BiasDistribution,
     ShiftInvariantKernel,
     WeightDistribution,
-    _draw_rows,
-    _law_streams,
-    _row_blocks,
     derive_seed,
     kappa_eval,
     second_moment_status,
@@ -92,8 +90,8 @@ def nu_function(act: Activation, gamma: float, bias: BiasDistribution,
     ``sqrt(nu)`` over ``r = ||x||`` is the feature-map Lipschitz constant
     for isotropic Gaussian weights.
     """
-    if r < 0:
-        raise InvalidArgumentError(f"r must be non-negative, got {r}")
+    if not (0 < gamma < math.inf and 0 <= r < math.inf):
+        raise InvalidArgumentError(f"need finite gamma > 0 and r >= 0, got gamma={gamma}, r={r}")
     return _nu_with_error(act, gamma, bias, r)[0]
 
 
@@ -118,8 +116,8 @@ def rnn_lipschitz(act: Activation, gamma: float, bias: BiasDistribution,
     continuous); otherwise the directional-derivative formula is not
     guaranteed to hold and a :class:`HypothesisViolationError` is raised.
     """
-    if gamma <= 0:
-        raise InvalidArgumentError(f"gamma must be positive, got {gamma}")
+    if not 0 < gamma < math.inf:
+        raise InvalidArgumentError(f"gamma must be positive and finite, got {gamma}")
     if act.kinks and not bias.absolutely_continuous:
         raise HypothesisViolationError(
             "activation has non-differentiable points and the bias law is not "
@@ -224,22 +222,19 @@ def variance_decomposition_check(act: Activation, gamma: float,
     sizes = [min(_MC_CHUNK, n - lo) for lo in range(0, n, _MC_CHUNK)]
     seeds = [derive_seed(seed, i) for i in range(len(sizes))]
     workers = min(len(sizes), _usable_cpus())
-    # Each worker's buffers are made here: glibc keeps a thread's own arena
-    # after its arrays are freed, which would raise the resident peak.
+    # The buffers are made here, one set per worker: glibc keeps a thread's
+    # own arena after its arrays are freed, which would raise the resident peak.
     rows = min(sizes[0], _MC_BLOCK_ROWS)
-    buffers = [(np.empty(sizes[0]), np.empty((rows, x.size)), np.empty(rows))
-               for _ in range(workers)]
+    free = queue.SimpleQueue()
+    for _ in range(workers):
+        free.put((np.empty(sizes[0]), np.empty((rows, x.size)), np.empty(rows)))
 
-    def chunk_sums(worker):
-        """``(sum, sum of squares)`` of the squared values of every
-        ``workers``-th chunk from ``worker`` on."""
-        vals, w, b = buffers[worker]
-        sums = []
-        for i in range(worker, len(sizes), workers):
-            streams = _law_streams(dist, seeds[i])
-            for lo, hi in _row_blocks(sizes[i], rows):
-                wk, bk, out = w[:hi - lo], b[:hi - lo], vals[lo:hi]
-                _draw_rows(dist, bias, streams, wk, bk)
+    def chunk_sums(i):
+        """``(sum, sum of squares)`` of the squared values of chunk ``i``."""
+        vals, w, b = buffers = free.get()
+        try:
+            for lo, hi, wk, bk in kernels._draw_blocks(dist, bias, sizes[i], seeds[i], w, b):
+                out = vals[lo:hi]
                 np.matmul(wk, z, out=out)
                 pre = wk @ x
                 pre += bk
@@ -250,16 +245,15 @@ def variance_decomposition_check(act: Activation, gamma: float,
             np.square(chunk, out=chunk)
             total = float(np.sum(chunk))
             np.square(chunk, out=chunk)
-            sums.append((total, float(np.sum(chunk))))
-        return sums
+            return total, float(np.sum(chunk))
+        finally:
+            free.put(buffers)
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        per_worker = list(pool.map(chunk_sums, range(workers)))
     total = total_sq = 0.0
-    for i in range(len(sizes)):
-        chunk_total, chunk_sq = per_worker[i % workers][i // workers]
-        total += chunk_total
-        total_sq += chunk_sq
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for chunk_total, chunk_sq in pool.map(chunk_sums, range(len(sizes))):
+            total += chunk_total
+            total_sq += chunk_sq
     lhs = total / n
     var = max(total_sq / n - lhs**2, 0.0)
     stderr = math.sqrt(var / n)

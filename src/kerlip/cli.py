@@ -91,6 +91,8 @@ _FLAG_OPTIONS = {
     "sigma": dict(help="identity | diag:a,b,... | file:PATH"),
     "n_list": dict(help="comma-separated feature counts"),
     "r_max": dict(help="radius search bound; 0 selects the default domain"),
+    "grid_points": dict(help="target size of the dim >= 2 grid; dim 1 always "
+                             "uses the 99-point grid"),
     "output": dict(metavar="PATH"),
     "svg": dict(metavar="PATH"),
     "log": dict(metavar="PATH"),
@@ -188,8 +190,8 @@ def _validate(cfg: RunConfig, provided: set) -> None:
     if cfg.command == "quantile-sweep" and "kernel" in provided and activation_like:
         raise UsageError("give either a kernel or an activation specification, "
                          "not both")
-    if cfg.gamma <= 0:
-        raise UsageError(f"gamma must be positive, got {cfg.gamma}")
+    if not 0 < cfg.gamma < math.inf:
+        raise UsageError(f"gamma must be positive and finite, got {cfg.gamma}")
     if cfg.dim < 1:
         raise UsageError(f"dim must be >= 1, got {cfg.dim}")
     if not 0.0 < cfg.delta < 1.0:
@@ -211,17 +213,13 @@ def dump_config(cfg: RunConfig) -> str:
 
 
 def _parse_bias(spec: str) -> BiasDistribution:
-    parts = spec.split(":")
+    family, *params = spec.split(":")
+    if family == "point" and not params:
+        params = ["0"]
     try:
-        if parts[0] == "uniform" and len(parts) == 3:
-            return BiasDistribution.uniform(float(parts[1]), float(parts[2]))
-        if parts[0] == "gaussian" and len(parts) == 2:
-            return BiasDistribution.gaussian(float(parts[1]))
-        if parts[0] == "point" and parts[1:] in ([], ["0"]):
-            return BiasDistribution.point_mass()
-    except (ValueError, InvalidArgumentError) as exc:
+        return BiasDistribution(family, tuple(float(p) for p in params))
+    except (ValueError, UnsupportedDistributionError) as exc:
         raise UsageError(f"bad bias specification {spec!r}: {exc}") from exc
-    raise UsageError(f"unknown bias specification {spec!r}")
 
 
 def _parse_sigma(spec: str, dim: int) -> np.ndarray:

@@ -106,24 +106,40 @@ ACTIVATIONS: dict[str, Callable[[], Activation]] = {
 }
 
 
+#: Each bias family's parameter check, and what it asks for.
+_BIAS_CHECKS = {
+    "uniform": (lambda p: len(p) == 2 and -np.inf < p[0] < p[1] < np.inf, "finite a < b"),
+    "gaussian": (lambda p: len(p) == 1 and 0 < p[0] < np.inf, "one finite sd > 0"),
+    "point": (lambda p: p == (0.0,), "the one point 0"),
+}
+
+
 @dataclass(frozen=True)
 class BiasDistribution:
-    """Bias law: ``uniform(a, b)``, ``gaussian(0, sd)`` or a point mass at 0."""
+    """Bias law: ``uniform(a, b)``, ``gaussian(0, sd)`` or a point mass at 0.
+
+    The constructor checks the parameters and stores them as floats.
+    """
 
     family: str
     params: tuple[float, ...]
 
+    def __post_init__(self):
+        if self.family not in _BIAS_CHECKS:
+            raise UnsupportedDistributionError(f"unknown bias family {self.family!r}")
+        valid, need = _BIAS_CHECKS[self.family]
+        params = tuple(float(p) for p in self.params)
+        if not valid(params):
+            raise InvalidArgumentError(f"{self.family} bias needs {need}, got {self.params}")
+        object.__setattr__(self, "params", params)
+
     @staticmethod
     def uniform(a: float, b: float) -> "BiasDistribution":
-        if not a < b:
-            raise InvalidArgumentError(f"uniform bias needs a < b, got ({a}, {b})")
-        return BiasDistribution("uniform", (float(a), float(b)))
+        return BiasDistribution("uniform", (a, b))
 
     @staticmethod
     def gaussian(sd: float) -> "BiasDistribution":
-        if sd <= 0:
-            raise InvalidArgumentError(f"gaussian bias needs sd > 0, got {sd}")
-        return BiasDistribution("gaussian", (float(sd),))
+        return BiasDistribution("gaussian", (sd,))
 
     @staticmethod
     def point_mass() -> "BiasDistribution":
@@ -151,8 +167,9 @@ class WeightDistribution:
     optional ``nu``.  With ``nu = None`` the law is ``N(0, shape)``; with
     ``nu`` set it is the multivariate Student law with ``2 nu`` degrees
     of freedom and shape matrix ``shape``, whose second moment is finite
-    iff ``nu > 1``.  The constructor keeps a read-only copy of ``shape``
-    and factors it once into its lower Cholesky factor ``chol``.
+    iff ``nu > 1``.  The constructor refuses a non-finite ``shape`` or
+    ``nu``, keeps a read-only copy of ``shape`` and factors it once into
+    its lower Cholesky factor ``chol``.
     """
 
     shape: np.ndarray
@@ -160,8 +177,8 @@ class WeightDistribution:
     chol: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.nu is not None and not self.nu > 0:
-            raise InvalidArgumentError(f"nu must be positive, got {self.nu}")
+        if self.nu is not None and not 0 < self.nu < np.inf:
+            raise InvalidArgumentError(f"nu must be positive and finite, got {self.nu}")
         shape = _check_spd(self.shape).copy()
         chol = np.linalg.cholesky(shape)
         shape.flags.writeable = False
@@ -175,9 +192,9 @@ class WeightDistribution:
 
     @staticmethod
     def isotropic_gaussian(gamma: float, d: int) -> "WeightDistribution":
-        if gamma <= 0:
-            raise InvalidArgumentError(f"gamma must be positive, got {gamma}")
-        return WeightDistribution(float(gamma) ** 2 * np.eye(d))
+        if not 0 < gamma < np.inf:
+            raise InvalidArgumentError(f"gamma must be positive and finite, got {gamma}")
+        return WeightDistribution(np.float64(gamma) ** 2 * np.eye(d))
 
     @staticmethod
     def gaussian_cov(cov: np.ndarray) -> "WeightDistribution":
@@ -196,6 +213,8 @@ def _check_spd(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
         raise InvalidArgumentError(f"expected a nonempty square matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise InvalidArgumentError("matrix entries must be finite")
     if np.max(np.abs(m - m.T)) > 1e-10 * max(np.max(np.abs(m)), 1.0):
         raise InvalidArgumentError("matrix must be symmetric")
     if np.any(np.linalg.eigvalsh(m) <= 0):
@@ -236,67 +255,59 @@ def derive_seed(seed: int, *indices: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _row_blocks(n: int, rows: int):
-    """``(lo, hi)`` bounds of ``ceil(n / rows)`` near-equal blocks of ``n`` rows.
+def _draw_blocks(dist: WeightDistribution, bias: BiasDistribution, n: int,
+                 seed: int, w: np.ndarray, b: np.ndarray):
+    """Draw ``n`` weight rows and biases from ``seed`` in row blocks.
 
-    For ``rows >= 3`` they leave no one-row block unless ``n == 1``: numpy
-    computes a one-row product on another BLAS path, with other last bits
-    than the same row in a larger product.
+    Yields ``(lo, hi, w_k, b_k)`` once rows ``lo:hi`` are drawn: into
+    ``w[lo:hi]`` and ``b[lo:hi]`` when ``w`` holds ``n`` rows, else into
+    the first ``hi - lo`` rows of the buffers.  The blocks are near-equal,
+    of at most ``min(len(w), _DRAW_ROWS)`` rows, so none has one row
+    unless ``n == 1``: numpy computes a one-row product on another BLAS
+    path, with other last bits.  Each stream is read in row order, so
+    the blocks draw what one block of ``n`` rows would.  Weights are
+    ``z @ chol.T`` with ``z`` standard normal; Student weights divide that
+    by ``sqrt(chi2(2 nu) / (2 nu))``.
     """
+    normals = _stream(seed, 0)
+    mix = _stream(seed, 1) if dist.nu is not None else None
+    bias_stream = _stream(seed, 2)
+    rows = min(len(w), _DRAW_ROWS)
     blocks = -(-n // rows)
-    return [(n * k // blocks, n * (k + 1) // blocks) for k in range(blocks)]
-
-
-def _law_streams(dist: WeightDistribution, seed: int) -> tuple:
-    """The Philox streams of one draw: the normals, the Student mix (or
-    ``None``) and the bias."""
-    return (_stream(seed, 0), _stream(seed, 1) if dist.nu is not None else None,
-            _stream(seed, 2))
-
-
-def _draw_rows(dist: WeightDistribution, bias: BiasDistribution, streams: tuple,
-               w: np.ndarray, b: np.ndarray) -> None:
-    """Fill ``w[k, d]`` and ``b[k]`` with the next ``k`` draws of ``streams``.
-
-    Consecutive calls draw what one call over all their rows would: each
-    stream is read in row order.
-    """
-    normals, mix_stream, bias_stream = streams
-    normals.standard_normal(out=w)
-    w[...] = w @ dist.chol.T
-    if dist.nu is not None:
-        df = 2.0 * dist.nu
-        mix = mix_stream.chisquare(df, size=len(w))
-        w /= np.sqrt(mix / df)[:, None]
-    if bias.family == "uniform":
-        lo, hi = bias.params
-        bias_stream.random(out=b)
-        b *= hi - lo
-        b += lo
-    elif bias.family == "gaussian":
-        bias_stream.standard_normal(out=b)
-        b *= bias.params[0]
-    elif bias.family == "point":
-        b[...] = 0.0
-    else:
-        raise UnsupportedDistributionError(f"no sampler for bias family {bias.family!r}")
+    for k in range(blocks):
+        lo, hi = n * k // blocks, n * (k + 1) // blocks
+        at = lo if len(w) >= n else 0
+        w_k, b_k = w[at:at + hi - lo], b[at:at + hi - lo]
+        normals.standard_normal(out=w_k)
+        w_k[...] = w_k @ dist.chol.T
+        if mix is not None:
+            df = 2.0 * dist.nu
+            w_k /= np.sqrt(mix.chisquare(df, size=hi - lo) / df)[:, None]
+        if bias.family == "uniform":
+            low, high = bias.params
+            bias_stream.random(out=b_k)
+            b_k *= high - low
+            b_k += low
+        elif bias.family == "gaussian":
+            bias_stream.standard_normal(out=b_k)
+            b_k *= bias.params[0]
+        else:
+            b_k[...] = 0.0
+        yield lo, hi, w_k, b_k
 
 
 def sample_weights(dist: WeightDistribution, bias: BiasDistribution,
                    n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Draw ``n`` i.i.d. weight rows and biases, deterministically in ``seed``.
 
-    Every law draws ``z @ chol.T`` with ``z`` standard normal; Student
-    weights divide that by ``sqrt(chi2(2 nu) / (2 nu))``.
+    Blocks are drawn in place, so the product holds no second ``(n, d)`` array.
     """
     if n < 1:
         raise InvalidArgumentError(f"need n >= 1, got {n}")
     w = np.empty((n, dist.d))
     biases = np.empty(n)
-    streams = _law_streams(dist, seed)
-    # In row blocks, so that the product holds no second (n, d) array.
-    for lo, hi in _row_blocks(n, _DRAW_ROWS):
-        _draw_rows(dist, bias, streams, w[lo:hi], biases[lo:hi])
+    for _ in _draw_blocks(dist, bias, n, seed, w, biases):
+        pass
     return w, biases
 
 
@@ -304,13 +315,12 @@ def sample_weights(dist: WeightDistribution, bias: BiasDistribution,
 class ShiftInvariantKernel:
     """Closed-form kernel ``k(x, y) = kappa(x - y)`` with ``kappa(0) = 1``.
 
-    The spectral law carries the kernel's parameters: the Gaussian
-    ``Sigma`` is ``spectral.shape`` (``nu`` is ``None``), the Matern ``nu``
-    and ``Sigma^-1`` are ``spectral.nu`` and ``spectral.shape``, and the
-    Laplace law is the Cauchy one, ``nu = 1/2`` with identity shape.
+    The spectral law is the kernel: the Gaussian ``Sigma`` is
+    ``spectral.shape`` (``nu`` is ``None``), and the Matern ``nu`` and
+    ``Sigma^-1`` are ``spectral.nu`` and ``spectral.shape``.  Laplace is
+    Matern ``nu = 1/2``, ``Sigma = I``, whose law is the Cauchy one.
     """
 
-    family: str
     spectral: WeightDistribution
 
     @property
@@ -326,45 +336,44 @@ def gaussian_kernel(sigma: np.ndarray) -> ShiftInvariantKernel:
 
     Its normalized spectral measure is ``N(0, Sigma)``.
     """
-    return ShiftInvariantKernel("gaussian", WeightDistribution.gaussian_cov(sigma))
+    return ShiftInvariantKernel(WeightDistribution.gaussian_cov(sigma))
 
 
 def matern_kernel(nu: float, sigma: np.ndarray) -> ShiftInvariantKernel:
     """Anisotropic Matern kernel with smoothness ``nu``.
 
     Evaluated through the modified Bessel function of the second kind on
-    the argument ``sqrt(2 nu d^T Sigma^-1 d)``; the spectral measure is
-    the multivariate Student law with ``2 nu`` degrees of freedom and
-    shape matrix ``Sigma^-1``.
+    ``sqrt(2 nu d^T Sigma^-1 d)`` (``exp`` of minus it at ``nu = 1/2``);
+    the spectral measure is the multivariate Student law with ``2 nu``
+    degrees of freedom and shape matrix ``Sigma^-1``.
     """
     shape = np.linalg.inv(_check_spd(sigma))
-    return ShiftInvariantKernel(
-        "matern", WeightDistribution.student_t(nu, 0.5 * (shape + shape.T)))
+    return ShiftInvariantKernel(WeightDistribution.student_t(nu, 0.5 * (shape + shape.T)))
 
 
 def laplace_kernel(d: int) -> ShiftInvariantKernel:
-    """Isotropic Laplace kernel ``exp(-||d||)`` with Cauchy spectral law."""
-    return ShiftInvariantKernel("laplace", WeightDistribution.cauchy(d))
+    """Isotropic Laplace kernel ``exp(-||d||)``: Matern ``nu = 1/2``, ``Sigma = I``."""
+    return matern_kernel(0.5, np.eye(d))
 
 
 def kappa_eval(kernel: ShiftInvariantKernel, delta: np.ndarray) -> float:
-    """Closed-form ``kappa(delta)``.
+    """Closed-form ``kappa(delta)``, read off the spectral law's ``nu``.
 
-    The Matern value at ``delta = 0`` is the small-argument limit 1, not
-    the singular ``0 * inf`` product.
+    ``nu = None`` is the Gaussian kernel and ``nu = 1/2`` the closed form
+    ``exp(-sqrt(2 nu q))``, with ``q = delta^T shape delta``; any other
+    ``nu`` takes the Bessel form, whose value at ``delta = 0`` is the
+    small-argument limit 1, not the singular ``0 * inf`` product.
     """
     delta = np.atleast_1d(np.asarray(delta, dtype=float))
     if delta.shape != (kernel.d,):
         raise InvalidArgumentError(
             f"delta has shape {delta.shape}, kernel dimension is {kernel.d}")
-    if kernel.family == "gaussian":
-        return float(np.exp(-0.5 * delta @ kernel.spectral.shape @ delta))
-    if kernel.family == "laplace":
-        return float(np.exp(-np.linalg.norm(delta)))
-    if kernel.family == "matern":
-        nu = kernel.spectral.nu
-        arg = np.sqrt(2.0 * nu * delta @ kernel.spectral.shape @ delta)
-        if arg < 1e-8:
-            return 1.0
-        return float(2.0 ** (1.0 - nu) / gamma_fn(nu) * arg**nu * kv(nu, arg))
-    raise UnsupportedDistributionError(f"unknown kernel family: {kernel.family!r}")
+    law = kernel.spectral
+    if law.nu is None:
+        return float(np.exp(-0.5 * delta @ law.shape @ delta))
+    arg = np.sqrt(2.0 * law.nu * delta @ law.shape @ delta)
+    if law.nu == 0.5:
+        return float(np.exp(-arg))
+    if arg < 1e-8:
+        return 1.0
+    return float(2.0 ** (1.0 - law.nu) / gamma_fn(law.nu) * arg**law.nu * kv(law.nu, arg))

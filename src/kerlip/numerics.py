@@ -19,7 +19,7 @@ from .kernels import BiasDistribution
 
 _MAX_QUAD_ORDER = 256
 
-#: Default number of grid points used by :func:`maximize_scalar`.
+#: Number of grid points that :func:`maximize_scalar` scans.
 DEFAULT_SCAN_POINTS = 512
 
 #: Default finite-difference step for :func:`hessian_fd`.
@@ -70,9 +70,7 @@ def _bias_rule(bias, n: int) -> tuple[np.ndarray, np.ndarray]:
         (sd,) = bias.params
         nodes, weights = _hermgauss(n)
         return np.sqrt(2.0) * sd * nodes, weights / np.sqrt(np.pi)
-    if bias.family == "point":
-        return np.zeros(1), np.ones(1)
-    raise UnsupportedDistributionError(f"unsupported bias family: {bias.family!r}")
+    return np.zeros(1), np.ones(1)  # the point mass at 0
 
 
 def _gaussian_pdf(z: np.ndarray, gamma: float) -> np.ndarray:
@@ -127,16 +125,15 @@ def expectation_2d(f, gamma: float, bias, orders: tuple[int, int],
 
 
 def expectation_2d_adaptive(f, gamma: float, bias, zeta_kinks=None,
-                            start_orders: tuple[int, int] = (64, 64),
                             rtol: float = 1e-8) -> tuple[float, float]:
     """Doubling ladder around :func:`expectation_2d`.
 
-    Orders are doubled until two successive results differ by less than
-    ``rtol`` or the order cap is reached.  Returns ``(value, error)``
-    where ``error`` is the last successive difference (a cheap
-    a-posteriori bound).
+    Both orders start at 64 and are doubled until two successive
+    results differ by less than ``rtol`` or the order cap is
+    reached.  Returns ``(value, error)`` where ``error`` is the last
+    successive difference (a cheap a-posteriori bound).
     """
-    n_zeta, n_b = start_orders
+    n_zeta = n_b = 64
     value = expectation_2d(f, gamma, bias, (n_zeta, n_b), zeta_kinks)
     error = np.inf
     while n_zeta < _MAX_QUAD_ORDER or n_b < _MAX_QUAD_ORDER:
@@ -153,14 +150,13 @@ def expectation_2d_adaptive(f, gamma: float, bias, zeta_kinks=None,
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
-def maximize_scalar(g, domain: tuple[float, float], tol: float,
-                    scan_points: int = DEFAULT_SCAN_POINTS) -> ScalarMaxResult:
+def maximize_scalar(g, domain: tuple[float, float], tol: float) -> ScalarMaxResult:
     """Maximize a scalar function on a finite interval.
 
-    Coarse grid scan followed by golden-section refinement around the
-    best grid cell.  Ties break to the smallest argmax (first grid
-    index), which makes the result deterministic.  For unimodal ``g``
-    the argmax error is at most ``tol``.
+    Coarse scan of ``DEFAULT_SCAN_POINTS`` grid points followed by
+    golden-section refinement around the best grid cell.  Ties break to
+    the smallest argmax (first grid index), which makes the result
+    deterministic.  For unimodal ``g`` the argmax error is at most ``tol``.
     """
     a, b = domain
     if not (np.isfinite(a) and np.isfinite(b) and a < b):
@@ -168,18 +164,18 @@ def maximize_scalar(g, domain: tuple[float, float], tol: float,
     if tol <= 0:
         raise InvalidArgumentError(f"tol must be positive, got {tol}")
 
-    grid = np.linspace(a, b, scan_points)
-    values = np.empty(scan_points)
+    grid = np.linspace(a, b, DEFAULT_SCAN_POINTS)
+    values = np.empty(DEFAULT_SCAN_POINTS)
     for i, r in enumerate(grid):
         v = g(float(r))
         if np.isnan(v):
             raise NumericalFailureError(f"objective returned NaN at {r}")
         values[i] = v
-    evaluations = scan_points
+    evaluations = DEFAULT_SCAN_POINTS
 
     best = int(np.argmax(values))  # argmax takes the first of equal maxima
     lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, scan_points - 1)]
+    hi = grid[min(best + 1, DEFAULT_SCAN_POINTS - 1)]
     bracket = (float(lo), float(hi))
 
     # Golden-section: maintain interior points x1 < x2 inside [lo, hi].

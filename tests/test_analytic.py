@@ -79,6 +79,12 @@ class TestNuFunction:
         with pytest.raises(InvalidArgumentError):
             nu_function(identity(), 1.0, UNIFORM_PHASE, -0.1)
 
+    @pytest.mark.parametrize("gamma, r", [(1.0, math.nan), (1.0, math.inf),
+                                          (math.nan, 1.0), (math.inf, 1.0)])
+    def test_non_finite_argument_rejected(self, gamma, r):
+        with pytest.raises(InvalidArgumentError, match="gamma=.*, r="):
+            nu_function(identity(), gamma, UNIFORM_PHASE, r)
+
 
 class TestRnnLipschitz:
     def test_rff_gamma_half(self):
@@ -145,6 +151,11 @@ class TestRnnLipschitz:
     def test_bad_domain_rejected(self):
         with pytest.raises(InvalidArgumentError):
             rnn_lipschitz(identity(), 1.0, UNIFORM_PHASE, r_domain=(2.0, 1.0))
+
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf, 0.0])
+    def test_bad_gamma_named(self, gamma):
+        with pytest.raises(InvalidArgumentError, match="gamma must be positive and finite"):
+            rnn_lipschitz(identity(), gamma, UNIFORM_PHASE)
 
 
 class TestVarianceDecomposition:

@@ -97,6 +97,17 @@ class TestExitStatuses:
     def test_invalid_invocations(self, argv, capsys):
         assert main(argv) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("argv, name", [
+        (["analytic", "--gamma", "nan"], "gamma"),
+        (["analytic", "--bias", "gaussian:nan"], "sd"),
+        (["shift-invariant", "--kernel", "matern", "--nu", "inf"], "nu"),
+    ])
+    def test_non_finite_value_named(self, argv, name, capsys):
+        assert main(argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert name in captured.err and "Traceback" not in captured.err
+        assert "Lip" not in captured.out
+
     def test_io_error_status(self, tmp_path, capsys):
         code = main(["quantile-sweep", "--kernel", "gaussian",
                      "--n-list", "8", "--realizations", "2",

@@ -1,7 +1,9 @@
 """Every module's star-import works and its ``__all__`` names exist."""
 
+import ast
 import importlib
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -43,3 +45,16 @@ def test_results_the_benchmark_reads():
     assert isinstance(value, float) and error < 1e-8, BENCH_READS
     result = maximize_scalar(lambda t: -(t - 0.3) ** 2, (0.0, 1.0), 1e-6)
     assert result.evaluations > 0, BENCH_READS
+
+
+def test_no_module_imports_another_modules_private_names():
+    package = Path(importlib.import_module("kerlip").__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            internal = isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").split(".")[0] == "kerlip")
+            if internal:
+                found += [f"{path.name}: {alias.name}" for alias in node.names
+                          if alias.name.startswith("_")]
+    assert found == []

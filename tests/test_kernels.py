@@ -1,6 +1,7 @@
 """Tests for activations, weight/bias laws and closed-form kernels."""
 
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -15,6 +16,7 @@ from kerlip.errors import InvalidArgumentError, UnsupportedDistributionError
 from kerlip.kernels import (
     ACTIVATIONS,
     BiasDistribution,
+    ShiftInvariantKernel,
     WeightDistribution,
     _DRAW_ROWS,
     _stream,
@@ -182,6 +184,20 @@ class TestKappaEval:
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidArgumentError):
             kappa_eval(gaussian_kernel(np.eye(2)), np.zeros(3))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_laplace_keeps_its_bits(self, d):
+        # Laplace is Matern nu = 1/2, evaluated as exp(-sqrt(delta^T delta)),
+        # which equals exp(-||delta||) bit for bit.
+        rng = np.random.default_rng(d)
+        deltas = rng.standard_normal((1000, d)) * 10.0 ** rng.uniform(-4, 1, (1000, 1))
+        for kernel in (laplace_kernel(d), matern_kernel(0.5, np.eye(d))):
+            got = [kappa_eval(kernel, delta) for delta in deltas]
+            assert got == [float(np.exp(-np.linalg.norm(delta))) for delta in deltas]
+
+    def test_kernel_is_its_spectral_law(self):
+        assert [f.name for f in dataclasses.fields(ShiftInvariantKernel)] == ["spectral"]
+        assert laplace_kernel(2).spectral.nu == 0.5
 
     @pytest.mark.parametrize("delta", [[0.3, -0.2], [1.0, 0.5], [-2.0, 0.7],
                                        [0.01, 0.02]])
@@ -371,3 +387,61 @@ class TestWeightLaw:
             WeightDistribution.student_t(2.0, np.ones((2, 3)))
         with pytest.raises(InvalidArgumentError, match="square"):
             WeightDistribution.isotropic_gaussian(1.0, 0)
+
+
+#: Floats with NaN and both infinities drawn often.
+any_float = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf]), st.floats())
+LAW_ERRORS = (InvalidArgumentError, UnsupportedDistributionError)
+SHAPE = np.array([[2.0, 0.6], [0.6, 1.0]])
+
+
+def _assert_finite_law(law):
+    """Every field of a bias law, weight law or kernel is finite."""
+    if isinstance(law, ShiftInvariantKernel):
+        law = law.spectral
+    if isinstance(law, BiasDistribution):
+        assert np.isfinite(law.params).all()
+    else:
+        assert law.nu is None or math.isfinite(law.nu)
+        assert np.isfinite(law.shape).all() and np.isfinite(law.chol).all()
+
+
+class TestLawsRefuseNonFinite:
+    FACTORIES = {
+        "uniform": lambda x, y: BiasDistribution.uniform(x, y),
+        "gaussian": lambda x, y: BiasDistribution.gaussian(x),
+        "bias_uniform": lambda x, y: BiasDistribution("uniform", (x, y)),
+        "bias_gaussian": lambda x, y: BiasDistribution("gaussian", (x,)),
+        "bias_point": lambda x, y: BiasDistribution("point", (x,)),
+        "isotropic_gaussian": lambda x, y: WeightDistribution.isotropic_gaussian(x, 2),
+        "gaussian_cov": lambda x, y: WeightDistribution.gaussian_cov(x * SHAPE),
+        "student_t": lambda x, y: WeightDistribution.student_t(x, y * SHAPE),
+        "weight_law": lambda x, y: WeightDistribution(np.array([[x]]), y),
+        "gaussian_kernel": lambda x, y: gaussian_kernel(x * SHAPE),
+        "matern_kernel": lambda x, y: matern_kernel(x, y * SHAPE),
+    }
+
+    @pytest.mark.parametrize("make", sorted(FACTORIES))
+    @given(x=any_float, y=any_float)
+    @settings(max_examples=60, deadline=None)
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_finite_law_or_raise(self, make, x, y):
+        try:
+            law = self.FACTORIES[make](x, y)
+        except LAW_ERRORS:
+            return
+        _assert_finite_law(law)
+
+    @pytest.mark.parametrize("make", [
+        lambda: BiasDistribution.gaussian(math.nan),
+        lambda: BiasDistribution.uniform(0.0, math.inf),
+        lambda: BiasDistribution("gaussian", (1.0, 2.0)),
+        lambda: BiasDistribution("beta", (1.0,)),
+        lambda: WeightDistribution.isotropic_gaussian(math.nan, 2),
+        lambda: WeightDistribution(np.array([[math.nan]])),
+        lambda: matern_kernel(math.inf, np.eye(2)),
+    ], ids=["gaussian_nan", "uniform_inf", "gaussian_two_params", "unknown_family",
+            "isotropic_nan", "weight_nan", "matern_nu_inf"])
+    def test_refused(self, make):
+        with pytest.raises(LAW_ERRORS):
+            make()
