@@ -233,7 +233,8 @@ def variance_decomposition_check(act: Activation, gamma: float,
         """``(sum, sum of squares)`` of the squared values of chunk ``i``."""
         vals, w, b = buffers = free.get()
         try:
-            for lo, hi, wk, bk in kernels._draw_blocks(dist, bias, sizes[i], seeds[i], w, b):
+            for lo, hi, wk, bk in kernels._draw_blocks(
+                    dist, bias, sizes[i], kernels._streams(seeds[i], dist, bias), w, b):
                 out = vals[lo:hi]
                 np.matmul(wk, z, out=out)
                 pre = wk @ x

@@ -6,19 +6,19 @@ the output.
 """
 
 import contextlib
-import itertools
 import json
 import math
+import queue
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Optional
 
 import numpy as np
 
+from . import kernels
 from .errors import ExperimentIOError, InvalidConfigurationError
-from .features import build_feature_map, empirical_lipschitz
+from .features import RandomFeatureMap, build_feature_map, empirical_lipschitz
 from .kernels import (
     Activation,
     BiasDistribution,
@@ -108,18 +108,44 @@ class SweepRow:
     lip_hat_sd: float
 
 
-def _realization_lipschitz(cfg: QuantileSweepConfig, n: int, index: int) -> float:
-    if cfg.nested:
-        seed = derive_seed(cfg.seed, index)
-    else:
-        seed = derive_seed(cfg.seed, n, index)
-    fm = build_feature_map(cfg.weight_dist, cfg.bias_dist, cfg.activation, n, seed)
-    value, _ = empirical_lipschitz(fm, cfg.grid)
-    return value
+#: Bytes of the weights and biases that one block of realizations is drawn
+#: into.  Each worker allocates its buffers once per ``N``.
+_BLOCK_BYTES = 256 * 1024
 
 
-def _realization_block(cfg: QuantileSweepConfig, n: int, indices: range) -> list[float]:
-    return [_realization_lipschitz(cfg, n, index) for index in indices]
+def _lipschitz_values(cfg: QuantileSweepConfig, n: int, mapper) -> np.ndarray:
+    """Grid Lipschitz estimates of the ``cfg.realizations`` maps of ``n`` features.
+
+    Realization ``i`` draws from ``derive_seed(cfg.seed, n, i)``, or from
+    ``derive_seed(cfg.seed, i)`` when nested, as ``build_feature_map``
+    would.  One vectorised pass seeds every realization, and the
+    realizations go in blocks: another pass keys a block's Philox streams,
+    each map is drawn into the block's buffers, and one
+    ``empirical_lipschitz`` call takes the whole stack.
+    """
+    dist, bias, total = cfg.weight_dist, cfg.bias_dist, cfg.realizations
+    size = min(total, max(1, _BLOCK_BYTES // (8 * n * (dist.d + 1))))
+    starts = range(0, total, size)
+    seeds = kernels._derive_seeds(cfg.seed, () if cfg.nested else (n,), range(total))
+    free = queue.SimpleQueue()
+    for _ in range(min(cfg.threads, len(starts))):
+        free.put((np.empty((size, n, dist.d)), np.empty((size, n)), None))
+
+    def block(lo: int) -> np.ndarray:
+        count = min(size, total - lo)
+        keys = kernels._stream_keys(seeds[lo:lo + count], dist, bias)
+        w, b, streams = free.get()
+        try:
+            for j in range(count):
+                streams = kernels._keyed_streams(keys, j, streams)
+                for _ in kernels._draw_blocks(dist, bias, n, streams, w[j], b[j]):
+                    pass
+            maps = RandomFeatureMap(w[:count], b[:count], cfg.activation)
+            return empirical_lipschitz(maps, cfg.grid)[0]
+        finally:
+            free.put((w, b, streams))
+
+    return np.concatenate(list(mapper(block, starts)))
 
 
 def quantile_sweep(cfg: QuantileSweepConfig,
@@ -134,17 +160,11 @@ def quantile_sweep(cfg: QuantileSweepConfig,
     rows: list[SweepRow] = []
     quantile_index = math.ceil(cfg.delta * cfg.realizations)
     log = open(log_path, "w") if log_path is not None else contextlib.nullcontext()
-    # One contiguous block of realizations per worker, not one pool task per
-    # sub-millisecond realization; values still arrive in index order.
-    bounds = [cfg.realizations * k // cfg.threads for k in range(cfg.threads + 1)]
-    blocks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     with log as log_fh, ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+        # Blocks arrive in index order whichever worker ran them.
         mapper = map if cfg.threads == 1 else pool.map
         for n in cfg.n_list:
-            values = np.fromiter(
-                itertools.chain.from_iterable(
-                    mapper(partial(_realization_block, cfg, n), blocks)),
-                dtype=float, count=cfg.realizations)
+            values = _lipschitz_values(cfg, n, mapper)
             order = np.sort(values)
             row = SweepRow(
                 N=n,

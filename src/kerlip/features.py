@@ -32,6 +32,10 @@ __all__ = [
 #: it, every allocation maps fresh pages and pays a fault for each one.
 _BLOCK_ELEMENTS = 8192
 
+#: Floats per temporary over a group of stacked maps (128 KiB): each map
+#: keeps its own row blocks, and the maps of a group go side by side.
+_STACK_ELEMENTS = 16384
+
 #: Most grid rows the rotation route carries between two direct
 #: ``np.exp`` evaluations of the phases; each carried row adds about one
 #: unit of round-off to every sine.
@@ -40,7 +44,12 @@ _ANCHOR_ROWS = 128
 
 @dataclass(frozen=True, eq=False)
 class RandomFeatureMap:
-    """Frozen draw ``(W, b, s, N)`` of a random feature map."""
+    """Frozen draw ``(W, b, s, N)`` of a random feature map, or a stack of them.
+
+    A stack of ``B`` maps holds weights ``(B, N, d)`` and biases ``(B, N)``;
+    ``d`` and ``n_features`` read the trailing axes.  Only
+    :func:`empirical_lipschitz` takes a stack.
+    """
 
     weights: np.ndarray
     biases: np.ndarray
@@ -48,11 +57,11 @@ class RandomFeatureMap:
 
     @property
     def n_features(self) -> int:
-        return self.weights.shape[0]
+        return self.weights.shape[-2]
 
     @property
     def d(self) -> int:
-        return self.weights.shape[1]
+        return self.weights.shape[-1]
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """Feature vector at a single point ``x``."""
@@ -93,13 +102,17 @@ def jacobian(fm: RandomFeatureMap, x: np.ndarray) -> np.ndarray:
     return slope[:, None] * fm.weights
 
 
-def empirical_lipschitz(fm: RandomFeatureMap,
-                        grid: np.ndarray) -> tuple[float, np.ndarray]:
+def empirical_lipschitz(fm: RandomFeatureMap, grid: np.ndarray):
     """Grid maximum of the Jacobian operator norm.
 
-    Ties break to the lowest grid index.  The value is a lower bound on
-    the true Lipschitz constant of the map.  The grid is processed in
-    row blocks whose temporaries hold about ``_BLOCK_ELEMENTS`` floats.
+    Returns ``(value, argmax point)``.  On a stack of ``B`` maps it returns
+    a ``(B,)`` array of values and a ``(B, d)`` array of points, each
+    with the bits that the map alone gives.  Ties break to the lowest
+    grid index.  The value is a lower bound on the true Lipschitz
+    constant of the map.  The grid is processed in row blocks whose
+    temporaries hold about ``_BLOCK_ELEMENTS`` floats per map, and a
+    stack's maps go side by side in groups whose temporaries hold at
+    most ``_STACK_ELEMENTS`` floats.
 
     Two routes serve ``d = 1``:
 
@@ -121,7 +134,10 @@ def empirical_lipschitz(fm: RandomFeatureMap,
       calls ``activation.derivative`` (``np.sin`` for cosine features),
       and each norm has the bits that one unblocked pass gives.
 
-    ``d >= 2`` makes one stacked ``spectral_norm`` call per block.
+    Both routes work on the stack's ``B N`` features side by side and end
+    each row block in one stacked matrix-vector product, which makes the
+    same BLAS call per map as a single map does.  ``d >= 2`` makes one
+    stacked ``spectral_norm`` call per block.
     """
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     if grid.size == 0:
@@ -131,33 +147,66 @@ def empirical_lipschitz(fm: RandomFeatureMap,
                                    f"for weights of shape {fm.weights.shape}")
     if not np.isfinite(grid).all():
         raise InvalidArgumentError(f"grid of shape {grid.shape} has non-finite entries")
-    n_points, n, d = grid.shape[0], fm.n_features, fm.d
-    norms = np.empty(n_points)
+    stacked = fm.weights.ndim == 3
+    weights = fm.weights if stacked else fm.weights[None]
+    biases = fm.biases if stacked else fm.biases[None]
+    n_points, (maps, n, d) = grid.shape[0], weights.shape
+    norms = np.empty((maps, n_points))
     if d == 1:
-        w = fm.weights[:, 0]
-        w_sq = w**2
+        w = weights[..., 0]
         amp = fm.activation.sine_amplitude
         h = _uniform_step(grid[:, 0]) if amp is not None else None
         if h is not None:
-            _rotated_sine_norms(w, fm.biases, amp, grid[0, 0], h, w_sq, norms)
+            rows = _rotation_rows(n)
+            # numpy multiplies a one-element complex array in place by the
+            # textbook formula, and longer ones with fused multiply-adds, so
+            # maps of one feature go one at a time.
+            per_map = 2 * min(rows, n_points) * n if n > 1 else _STACK_ELEMENTS
+            for g in _map_groups(maps, per_map):
+                _rotated_sine_norms(w[g], biases[g], amp, grid[0, 0], h, rows, norms[g])
         else:
-            # Each block ends in one gemv.  OpenBLAS sums its rows in groups
-            # of four, so blocks start at multiples of four: every row is
-            # then summed as in one gemv over the whole grid.
+            # Each block ends in one gemv per map.  OpenBLAS sums its rows in
+            # groups of four, so blocks start at multiples of four: every row
+            # is then summed as in one gemv over the whole grid.
             rows = max(4, _BLOCK_ELEMENTS // n // 4 * 4)
-            for lo, hi in _row_blocks(n_points, rows):
-                slopes = fm.activation.derivative(grid[lo:hi] * w + fm.biases)
-                np.matmul(slopes**2, w_sq, out=norms[lo:hi])
+            for g in _map_groups(maps, min(rows, n_points) * n):
+                w_sq = w[g]**2
+                for lo, hi in _row_blocks(n_points, rows):
+                    slopes = fm.activation.derivative(grid[lo:hi, :, None] * w[g] + biases[g])
+                    _stacked_gemv(slopes**2, w_sq, norms[g, lo:hi])
         # Operator norm of an N x 1 Jacobian is its Euclidean norm.
         norms = np.sqrt(norms / n)
     else:
-        for lo, hi in _row_blocks(n_points, max(1, _BLOCK_ELEMENTS // (n * d))):
-            # One gemv per point, as jacobian() does, so the bits match it.
-            pre = np.matmul(fm.weights, grid[lo:hi, :, None])[..., 0] + fm.biases
-            slopes = fm.activation.derivative(pre) / np.sqrt(n)
-            norms[lo:hi] = spectral_norm(slopes[:, :, None] * fm.weights)
-    best = int(np.argmax(norms))
-    return float(norms[best]), grid[best]
+        rows = max(1, _BLOCK_ELEMENTS // (n * d))
+        for g in _map_groups(maps, min(rows, n_points) * n * d):
+            w, b = weights[g, None], biases[g, None]
+            for lo, hi in _row_blocks(n_points, rows):
+                # One gemv per point, as jacobian() does, so the bits match it.
+                pre = np.matmul(w, grid[lo:hi, :, None])[..., 0] + b
+                slopes = fm.activation.derivative(pre) / np.sqrt(n)
+                jacobians = (slopes[..., None] * w).reshape(-1, n, d)
+                norms[g, lo:hi] = spectral_norm(jacobians).reshape(-1, hi - lo)
+    best = np.argmax(norms, axis=1)
+    values = norms[np.arange(maps), best]
+    if stacked:
+        return values, grid[best]
+    return float(values[0]), grid[best[0]]
+
+
+def _map_groups(maps: int, per_map: int) -> list[slice]:
+    """Consecutive groups of a stack's maps, so few that a temporary holding
+    ``per_map`` floats per map stays within ``_STACK_ELEMENTS`` floats."""
+    size = max(1, _STACK_ELEMENTS // per_map)
+    return [slice(lo, lo + size) for lo in range(0, maps, size)]
+
+
+def _stacked_gemv(a: np.ndarray, v: np.ndarray, out: np.ndarray) -> None:
+    """``out[m, j] = a[j, m] @ v[m]`` for ``a`` of shape ``(k, B, N)``.
+
+    One matrix-vector product per map ``m``, on the map's ``(k, N)`` slice:
+    the BLAS call, and so the bits, of ``a[:, m] @ v[m]`` alone.
+    """
+    np.matmul(a.transpose(1, 0, 2), v[:, :, None], out=out[:, :, None])
 
 
 def _row_blocks(n_points: int, rows: int):
@@ -183,33 +232,48 @@ def _uniform_step(x: np.ndarray):
     return h if deviation <= 4.0 * np.finfo(float).eps * max(abs(x0), abs(x_last)) else None
 
 
-def _rotated_sine_norms(w, b, amp, x0, h, w_sq, out) -> None:
-    """``out[j] = sum_i (amp sin(w_i (x0 + j h) + b_i))^2 w_i^2`` by phase rotation."""
-    n = w.size
-    # A power of two, so every _ANCHOR_ROWS-th row starts a block.
+def _rotation_rows(n: int) -> int:
+    """Grid rows per block of the rotation route for maps of ``n`` features.
+
+    A power of two, so every ``_ANCHOR_ROWS``-th row starts a block.  It
+    depends on ``n`` alone, so a map's sines keep their bits in a stack.
+    """
     rows = _ANCHOR_ROWS
     while rows > 1 and 2 * rows * n > _BLOCK_ELEMENTS:
         rows //= 2
-    powers = np.empty((rows, n), dtype=complex)  # powers[k] = exp(i k h w)
+    return rows
+
+
+def _rotated_sine_norms(w, b, amp, x0, h, rows, out) -> None:
+    """``out[m, j] = sum_i (amp sin(w_mi (x0 + j h) + b_mi))^2 w_mi^2`` by phase rotation.
+
+    ``w`` and ``b`` hold one row of ``N`` features per map, and blocks of
+    ``rows`` grid rows share one table of powers.
+    """
+    w_sq = w**2
+    # powers[k] = exp(i k h w), for as many rows as a block uses.
+    powers = np.empty((min(rows, out.shape[1]), *w.shape), dtype=complex)
     powers[0] = 1.0
     rot = np.exp(1j * (h * w))
     filled = 1
-    while filled < rows:
-        np.multiply(powers[:filled], rot, out=powers[filled:2 * filled])
+    while filled < len(powers):
+        k = min(filled, len(powers) - filled)
+        np.multiply(powers[:k], rot, out=powers[filled:filled + k])
         rot *= rot
         filled *= 2
-    # rot is now exp(i rows h w), which carries a block's first row to the next.
+    # rot is now exp(i rows h w), which carries a block's first row to the
+    # next; with a single block it goes unused.
     phases = np.empty_like(powers)
-    slopes_sq = np.empty((rows, n))
-    for lo in range(0, out.size, rows):
-        k = min(rows, out.size - lo)
+    slopes_sq = np.empty(powers.shape)
+    for lo in range(0, out.shape[1], rows):
+        k = min(rows, out.shape[1] - lo)
         if lo % _ANCHOR_ROWS == 0:
             first = amp * np.exp(1j * (w * (x0 + lo * h) + b))
         else:
             first *= rot
         np.multiply(powers[:k], first, out=phases[:k])
         np.square(phases[:k].imag, out=slopes_sq[:k])
-        np.matmul(slopes_sq[:k], w_sq, out=out[lo:lo + k])
+        _stacked_gemv(slopes_sq[:k], w_sq, out[:, lo:lo + k])
 
 
 def default_grid_1d() -> np.ndarray:

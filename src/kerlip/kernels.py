@@ -108,7 +108,8 @@ ACTIVATIONS: dict[str, Callable[[], Activation]] = {
 
 #: Each bias family's parameter check, and what it asks for.
 _BIAS_CHECKS = {
-    "uniform": (lambda p: len(p) == 2 and -np.inf < p[0] < p[1] < np.inf, "finite a < b"),
+    "uniform": (lambda p: len(p) == 2 and -np.inf < p[0] < p[1] and p[1] - p[0] < np.inf,
+                "finite a < b with a finite width b - a"),
     "gaussian": (lambda p: len(p) == 1 and 0 < p[0] < np.inf, "one finite sd > 0"),
     "point": (lambda p: p == (0.0,), "the one point 0"),
 }
@@ -231,7 +232,8 @@ def second_moment_status(dist: WeightDistribution) -> Optional[np.ndarray]:
     if dist.nu is None:
         return dist.shape.copy()
     if dist.nu > 1.0:
-        return (2.0 * dist.nu / (2.0 * dist.nu - 2.0)) * dist.shape
+        # Not 2 nu / (2 nu - 2): the same bits, but inf / inf for nu near 9e307.
+        return (dist.nu / (dist.nu - 1.0)) * dist.shape
     return None
 
 
@@ -249,29 +251,160 @@ def _stream(seed: int, key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+def _streams_read(dist: WeightDistribution, bias: BiasDistribution) -> tuple[bool, ...]:
+    """Which of the sub-streams 0, 1, 2 a draw reads: the normals always, the
+    Student mix for Student weights, the biases unless they are a point mass."""
+    return True, dist.nu is not None, bias.family != "point"
+
+
+def _streams(seed: int, dist: WeightDistribution, bias: BiasDistribution) -> tuple:
+    """The sub-streams a draw from ``seed`` reads, in the order ``_draw_blocks``
+    takes them: normals, Student mix and biases, each None when unread."""
+    return tuple(_stream(seed, key) if read else None
+                 for key, read in enumerate(_streams_read(dist, bias)))
+
+
 def derive_seed(seed: int, *indices: int) -> int:
     """Deterministic 64-bit child seed for an indexed realization."""
     ss = np.random.SeedSequence(seed, spawn_key=tuple(int(i) for i in indices))
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _draw_blocks(dist: WeightDistribution, bias: BiasDistribution, n: int,
-                 seed: int, w: np.ndarray, b: np.ndarray):
-    """Draw ``n`` weight rows and biases from ``seed`` in row blocks.
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), run on many
+# entropy rows at once.  All arithmetic is on uint32 words, modulo 2**32.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL_WORDS = 4
 
-    Yields ``(lo, hi, w_k, b_k)`` once rows ``lo:hi`` are drawn: into
-    ``w[lo:hi]`` and ``b[lo:hi]`` when ``w`` holds ``n`` rows, else into
-    the first ``hi - lo`` rows of the buffers.  The blocks are near-equal,
-    of at most ``min(len(w), _DRAW_ROWS)`` rows, so none has one row
-    unless ``n == 1``: numpy computes a one-row product on another BLAS
-    path, with other last bits.  Each stream is read in row order, so
+
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """The hash constants ``init * mult**t`` for ``t = 0, ..., count``, as uint32."""
+    out = [init]
+    for _ in range(count):
+        out.append(out[-1] * mult & _MASK32)
+    return np.array(out, dtype=np.uint32)
+
+
+def _mixed_pool(words: np.ndarray, pool: Optional[np.ndarray] = None,
+                mixed: int = 0) -> np.ndarray:
+    """SeedSequence's entropy pool after mixing in the uint32 ``words``.
+
+    ``words`` has shape ``(..., L)``.  Without ``pool``, mixing starts from
+    the first four words, the seed's words padded with zeros (``L >= 4``).
+    With ``pool``, it goes on from a pool that has ``mixed >= 4`` words in
+    it.  The shapes broadcast, so one array operation mixes a word into
+    many pools.  SeedSequence mixes one pool word at a time; the pool words
+    that one step touches do not depend on each other, so each step here
+    is one operation over them, with the hash constants they get in turn.
+    """
+    # 4 hash calls per word: 4 + 12 for the first four, then 4 for each next one.
+    consts = _hash_constants(_INIT_A, _MULT_A, 4 * (mixed + words.shape[-1]))
+    used = 4 * mixed
+
+    def hashmix(value, count):
+        nonlocal used
+        value = value ^ consts[used:used + count]
+        value *= consts[used + 1:used + count + 1]
+        value ^= value >> np.uint32(16)
+        used += count
+        return value
+
+    def mix(x, y):
+        result = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+        result ^= result >> np.uint32(16)
+        return result
+
+    if pool is None:
+        pool = hashmix(words[..., :_POOL_WORDS], _POOL_WORDS)
+        for src in range(_POOL_WORDS):
+            dst = [i for i in range(_POOL_WORDS) if i != src]
+            pool[..., dst] = mix(pool[..., dst], hashmix(pool[..., src, None], len(dst)))
+        words = words[..., _POOL_WORDS:]
+    for j in range(words.shape[-1]):
+        pool = mix(pool, hashmix(words[..., j, None], _POOL_WORDS))
+    return pool
+
+
+def _pool_state(pool: np.ndarray, n_words: int) -> np.ndarray:
+    """``generate_state(n_words, np.uint64)`` of each pool of ``(..., 4)`` pools."""
+    consts = _hash_constants(_INIT_B, _MULT_B, 2 * n_words)
+    state = pool[..., np.arange(2 * n_words) % _POOL_WORDS] ^ consts[:-1]
+    state *= consts[1:]
+    state ^= state >> np.uint32(16)
+    return np.ascontiguousarray(state).view("<u8").astype(np.uint64)
+
+
+def _derive_seeds(seed: int, prefix: tuple[int, ...], indices: range) -> np.ndarray:
+    """``derive_seed(seed, *prefix, i)`` for each ``i`` of ``indices``, as uint64."""
+    if indices and not 0 <= min(indices) <= max(indices) <= _MASK32:
+        raise ValueError(f"indices must lie in [0, 2**32), got {indices}")
+    head = np.random.SeedSequence(seed, spawn_key=prefix)
+
+    def words(value):  # 32-bit words SeedSequence splits an int into
+        return max(1, -(-int(value).bit_length() // 32))
+
+    # The head's pool holds the seed's words, padded to the pool size, and the prefix's.
+    mixed = max(_POOL_WORDS, words(seed)) + sum(words(i) for i in prefix)
+    last = np.asarray(indices, dtype=np.uint32)[:, None]
+    return _pool_state(_mixed_pool(last, head.pool, mixed), 1)[:, 0]
+
+
+def _stream_keys(seeds: np.ndarray, dist: WeightDistribution,
+                 bias: BiasDistribution) -> tuple:
+    """For each 64-bit seed, the Philox key of each sub-stream that
+    ``_streams(seed, dist, bias)`` builds: a ``(len(seeds), 2)`` uint64 array
+    per stream, None where ``_streams`` has None."""
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    words = np.zeros((seeds.size, _POOL_WORDS), dtype=np.uint32)
+    words[:, 0] = seeds & np.uint64(_MASK32)
+    words[:, 1] = seeds >> np.uint64(32)
+    read = _streams_read(dist, bias)
+    keys = np.arange(len(read), dtype=np.uint32)[:, None, None]
+    states = _pool_state(_mixed_pool(keys, _mixed_pool(words), _POOL_WORDS), 2)
+    return tuple(state if r else None for state, r in zip(states, read))
+
+
+_ZEROS4 = np.zeros(4, np.uint64)
+_ZEROS4.flags.writeable = False
+
+
+def _keyed_streams(keys: tuple, i: int, streams: Optional[tuple] = None) -> tuple:
+    """The sub-streams of seed ``i`` of ``_stream_keys``, as ``_streams`` builds them.
+
+    Setting a Philox state costs a fraction of seeding a new generator, so
+    passing the ``streams`` of an earlier call reloads those generators.
+    """
+    if streams is None:
+        streams = tuple(np.random.Generator(np.random.Philox(key=0)) if k is not None
+                        else None for k in keys)
+    for generator, k in zip(streams, keys):
+        if generator is not None:
+            # The state Philox(SeedSequence) sets up: the key, nothing drawn
+            # yet.  The setter copies the values out of the arrays it is given.
+            generator.bit_generator.state = {
+                "bit_generator": "Philox", "state": {"counter": _ZEROS4, "key": k[i]},
+                "buffer": _ZEROS4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return streams
+
+
+def _draw_blocks(dist: WeightDistribution, bias: BiasDistribution, n: int,
+                 streams: tuple, w: np.ndarray, b: np.ndarray):
+    """Draw ``n`` weight rows and biases from ``streams`` in row blocks.
+
+    ``streams`` are the generators that ``_streams`` or ``_keyed_streams``
+    gives.  Yields ``(lo, hi, w_k, b_k)`` once rows ``lo:hi`` are drawn:
+    into ``w[lo:hi]`` and ``b[lo:hi]`` when ``w`` holds ``n`` rows, else
+    into the first ``hi - lo`` rows of the buffers.  The blocks are
+    near-equal, of at most ``min(len(w), _DRAW_ROWS)`` rows, so none has
+    one row unless ``n == 1``: numpy computes a one-row product on another
+    BLAS path, with other last bits.  Each stream is read in row order, so
     the blocks draw what one block of ``n`` rows would.  Weights are
     ``z @ chol.T`` with ``z`` standard normal; Student weights divide that
     by ``sqrt(chi2(2 nu) / (2 nu))``.
     """
-    normals = _stream(seed, 0)
-    mix = _stream(seed, 1) if dist.nu is not None else None
-    bias_stream = _stream(seed, 2)
+    normals, mix, bias_stream = streams
     rows = min(len(w), _DRAW_ROWS)
     blocks = -(-n // rows)
     for k in range(blocks):
@@ -306,7 +439,7 @@ def sample_weights(dist: WeightDistribution, bias: BiasDistribution,
         raise InvalidArgumentError(f"need n >= 1, got {n}")
     w = np.empty((n, dist.d))
     biases = np.empty(n)
-    for _ in _draw_blocks(dist, bias, n, seed, w, biases):
+    for _ in _draw_blocks(dist, bias, n, _streams(seed, dist, bias), w, biases):
         pass
     return w, biases
 

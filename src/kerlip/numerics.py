@@ -161,8 +161,8 @@ def maximize_scalar(g, domain: tuple[float, float], tol: float) -> ScalarMaxResu
     a, b = domain
     if not (np.isfinite(a) and np.isfinite(b) and a < b):
         raise InvalidArgumentError(f"domain must be a finite interval, got {domain}")
-    if tol <= 0:
-        raise InvalidArgumentError(f"tol must be positive, got {tol}")
+    if not 0 < tol < np.inf:
+        raise InvalidArgumentError(f"tol must be positive and finite, got {tol}")
 
     grid = np.linspace(a, b, DEFAULT_SCAN_POINTS)
     values = np.empty(DEFAULT_SCAN_POINTS)

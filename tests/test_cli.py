@@ -101,12 +101,18 @@ class TestExitStatuses:
         (["analytic", "--gamma", "nan"], "gamma"),
         (["analytic", "--bias", "gaussian:nan"], "sd"),
         (["shift-invariant", "--kernel", "matern", "--nu", "inf"], "nu"),
+        (["analytic", "--activation", "relu", "--bias", "gaussian:1", "--tol", "nan"], "tol"),
     ])
     def test_non_finite_value_named(self, argv, name, capsys):
         assert main(argv) == EXIT_CONFIG
         captured = capsys.readouterr()
         assert name in captured.err and "Traceback" not in captured.err
         assert "Lip" not in captured.out
+
+    def test_huge_matern_nu_gives_a_finite_constant(self, capsys):
+        # 2 nu / (2 nu - 2) is inf / inf here; nu / (nu - 1) is 1.
+        assert main(["shift-invariant", "--kernel", "matern", "--nu", "1e308"]) == EXIT_OK
+        assert capsys.readouterr().out.strip() == "Lip = 1"
 
     def test_io_error_status(self, tmp_path, capsys):
         code = main(["quantile-sweep", "--kernel", "gaussian",

@@ -2,6 +2,9 @@
 
 import json
 import math
+import sys
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,9 +25,12 @@ from kerlip.kernels import (
     WeightDistribution,
     derive_seed,
     gaussian_kernel,
+    identity,
     kappa_eval,
     laplace_kernel,
+    relu,
     scaled_cosine,
+    tanh_activation,
 )
 
 UNIFORM_PHASE = BiasDistribution.uniform(0.0, 2 * np.pi)
@@ -126,6 +132,93 @@ class TestQuantileSweep:
         first = json.loads(lines[0])
         assert first["N"] == rows[0].N
         assert first["t_hat"] == rows[0].t_hat
+
+
+def _per_realization_rows(cfg):
+    """The sweep as one draw and one estimator call per realization."""
+    rows = []
+    k = math.ceil(cfg.delta * cfg.realizations)
+    for n in cfg.n_list:
+        values = []
+        for index in range(cfg.realizations):
+            seed = derive_seed(cfg.seed, index) if cfg.nested else derive_seed(cfg.seed, n, index)
+            fm = build_feature_map(cfg.weight_dist, cfg.bias_dist, cfg.activation, n, seed)
+            values.append(empirical_lipschitz(fm, cfg.grid)[0])
+        values = np.array(values)
+        rows.append(SweepRow(N=n, t_hat=float(np.sort(values)[k - 1] - cfg.lip_reference),
+                             quantile_index=k, lip_hat_mean=float(np.mean(values)),
+                             lip_hat_sd=float(np.std(values))))
+    return rows
+
+
+GAUSS_1D, STUDENT_1D = ISO_1D, WeightDistribution.student_t(2.0, np.eye(1))
+GAUSS_2D = WeightDistribution.isotropic_gaussian(1.3, 2)
+STUDENT_2D = WeightDistribution.student_t(3.0, np.array([[2.0, 0.6], [0.6, 1.0]]))
+STD_BIAS, POINT_BIAS = BiasDistribution.gaussian(1.0), BiasDistribution.point_mass()
+UNEVEN_1D = np.sort(np.random.default_rng(3).uniform(-1.0, 1.0, 40))[:, None]
+GRID_2D = np.stack(np.meshgrid(np.linspace(-1, 1, 4), np.linspace(-1, 1, 3)), -1).reshape(-1, 2)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestBlocksKeepEveryBit:
+    """Blocks of realizations give the rows of one realization at a time.
+
+    A block holds at most 16 maps at N=1024 and 4 at N=4096, so the
+    realization counts there leave a short last block.
+    """
+
+    @pytest.mark.parametrize("act, weights, bias, n_list, realizations, grid, nested, threads", [
+        (scaled_cosine(), GAUSS_1D, UNIFORM_PHASE, (1, 7, 16), 9, default_grid_1d(), False, 1),
+        (scaled_cosine(), STUDENT_1D, UNIFORM_PHASE, (16, 1024), 21, default_grid_1d(), False, 2),
+        (scaled_cosine(), GAUSS_1D, STD_BIAS, (7, 4096), 6, UNEVEN_1D, True, 3),
+        (relu(), GAUSS_1D, STD_BIAS, (1, 1024, 4096), 10, default_grid_1d(), False, 3),
+        (relu(), STUDENT_1D, POINT_BIAS, (16,), 5, default_grid_1d()[:1], True, 2),
+        (tanh_activation(), STUDENT_1D, POINT_BIAS, (1, 16), 7, UNEVEN_1D, True, 2),
+        (tanh_activation(), GAUSS_1D, UNIFORM_PHASE, (7, 1024), 17, default_grid_1d(), False, 1),
+        (identity(), GAUSS_1D, STD_BIAS, (16, 4096), 5, default_grid_1d()[:1], False, 1),
+        (scaled_cosine(), GAUSS_2D, UNIFORM_PHASE, (1, 7, 16), 11, GRID_2D, False, 3),
+        (relu(), STUDENT_2D, POINT_BIAS, (16, 1024), 18, GRID_2D[:1], True, 2),
+        (tanh_activation(), GAUSS_2D, STD_BIAS, (7,), 4, GRID_2D, False, 1),
+        (identity(), STUDENT_2D, UNIFORM_PHASE, (16,), 3, GRID_2D, True, 3),
+    ])
+    def test_rows_match_one_realization_at_a_time(self, act, weights, bias, n_list,
+                                                  realizations, grid, nested, threads):
+        cfg = QuantileSweepConfig(activation=act, weight_dist=weights, bias_dist=bias,
+                                  n_list=n_list, realizations=realizations, delta=0.7,
+                                  grid=grid, seed=23, lip_reference=1.0, nested=nested,
+                                  threads=threads)
+        assert quantile_sweep(cfg) == _per_realization_rows(cfg)
+
+    def test_many_workers_share_the_block_buffers(self):
+        # Eight blocks of four maps at N=4096 on more workers than cores,
+        # switching threads as often as the interpreter allows.
+        cfg = small_config(n_list=(4096,), realizations=30)
+        expected = _per_realization_rows(cfg)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for threads in (5, 8):
+                assert quantile_sweep(replace(cfg, threads=threads)) == expected
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_peak_memory_does_not_grow_with_realizations(self):
+        cfg = small_config(n_list=(1024,), realizations=20)
+        peaks = []
+        for realizations in (20, 200):
+            tracemalloc.start()
+            try:
+                quantile_sweep(replace(cfg, realizations=realizations))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+        # Drawing every realization at once would hold 200 x 1024 x 16 bytes
+        # (3.1 MiB); the blocks hold 256 KiB of draws and the estimator's
+        # temporaries.  Only the seeds and values, 8 bytes each and a
+        # sorted copy of the values, grow with the realizations.
+        assert peaks[1] < 2**20
+        assert peaks[1] - peaks[0] < 64 * 180
 
 
 class TestKernelConvergence:

@@ -5,6 +5,7 @@ import importlib
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 MODULES = ["numerics", "kernels", "analytic", "features", "experiments", "cli"]
@@ -58,3 +59,24 @@ def test_no_module_imports_another_modules_private_names():
                 found += [f"{path.name}: {alias.name}" for alias in node.names
                           if alias.name.startswith("_")]
     assert found == []
+
+
+def test_sweep_calls_the_estimator_by_feature_count(monkeypatch):
+    # The trace keys features.empirical_lipschitz by (fm.d, fm.n_features).
+    from kerlip import experiments
+    from kerlip.features import default_grid_1d
+    from kerlip.kernels import gaussian_kernel
+
+    seen = []
+    estimator = experiments.empirical_lipschitz
+
+    def spy(fm, grid):
+        seen.append((fm.d, fm.n_features))
+        return estimator(fm, grid)
+
+    monkeypatch.setattr(experiments, "empirical_lipschitz", spy)
+    cfg = experiments.QuantileSweepConfig.from_shift_invariant(
+        gaussian_kernel(np.eye(1)), n_list=(16, 256, 1024), realizations=20, delta=0.9,
+        grid=default_grid_1d(), seed=0)
+    experiments.quantile_sweep(cfg)
+    assert seen and set(seen) == {(1, 16), (1, 256), (1, 1024)}, BENCH_READS

@@ -19,7 +19,11 @@ from kerlip.kernels import (
     ShiftInvariantKernel,
     WeightDistribution,
     _DRAW_ROWS,
+    _derive_seeds,
+    _draw_blocks,
+    _keyed_streams,
     _stream,
+    _stream_keys,
     derive_seed,
     gaussian_kernel,
     kappa_eval,
@@ -157,6 +161,21 @@ class TestSecondMomentStatus:
     def test_cauchy(self):
         assert second_moment_status(WeightDistribution.cauchy(3)) is None
 
+    def test_student_factor_keeps_its_bits(self):
+        # nu / (nu - 1) against the 2 nu / (2 nu - 2) it replaced: doubling is
+        # exact, so both round the same quotient, below the overflow of 2 nu.
+        rng = np.random.default_rng(11)
+        nus = np.concatenate([1.0 + rng.random(400), 10.0 ** rng.uniform(0, 307, 400),
+                              [1.0 + 2**-52, 2.0, 8.9e307]])
+        shape = np.array([[2.0, 0.6], [0.6, 1.0]])
+        for nu in nus:
+            got = second_moment_status(WeightDistribution.student_t(nu, shape))
+            assert np.array_equal(got, (2.0 * nu / (2.0 * nu - 2.0)) * shape), nu
+
+    def test_student_factor_finite_for_huge_nu(self):
+        got = second_moment_status(WeightDistribution.student_t(1e308, np.eye(2)))
+        assert np.array_equal(got, np.eye(2))
+
 
 class TestKappaEval:
     KERNELS = [gaussian_kernel(np.eye(2)),
@@ -262,6 +281,54 @@ def _per_family_sampler(family, d, n, seed, gamma=None, cov=None, nu=None,
     else:
         raise UnsupportedDistributionError(bias.family)
     return w, biases
+
+
+class TestVectorisedSeeding:
+    """The vectorised SeedSequence hash gives numpy's words, every bit."""
+
+    @given(seed=st.integers(0, 2**130), prefix=st.lists(st.integers(0, 2**70), max_size=2),
+           start=st.integers(0, 2**32 - 30), count=st.integers(0, 30))
+    @settings(max_examples=150, deadline=None)
+    def test_seeds_match_seed_sequence(self, seed, prefix, start, count):
+        indices = range(start, start + count)
+        got = _derive_seeds(seed, tuple(prefix), indices)
+        expected = np.array([np.random.SeedSequence(seed, spawn_key=(*prefix, i))
+                             .generate_state(1, np.uint64)[0] for i in indices], dtype=np.uint64)
+        assert got.dtype == np.uint64 and got.shape == (count,)
+        assert (got == expected).all()
+
+    @given(seeds=st.lists(st.integers(0, 2**64 - 1), max_size=20), student=st.booleans(),
+           bias=st.sampled_from([BiasDistribution.uniform(0.0, 1.0),
+                                 BiasDistribution.gaussian(2.0), BiasDistribution.point_mass()]))
+    @settings(max_examples=100, deadline=None)
+    def test_stream_keys_match_seed_sequence(self, seeds, student, bias):
+        dist = WeightDistribution(np.eye(2), 1.5 if student else None)
+        keys = _stream_keys(np.array(seeds, dtype=np.uint64), dist, bias)
+        read = (True, student, bias.family != "point")
+        for k, key in enumerate(keys):
+            assert (key is not None) == read[k]
+            if key is not None:
+                expected = np.array([np.random.SeedSequence(s, spawn_key=(k,))
+                                     .generate_state(2, np.uint64) for s in seeds],
+                                    dtype=np.uint64).reshape(-1, 2)
+                assert (key == expected).all()
+
+    @pytest.mark.parametrize("dist", [WeightDistribution.isotropic_gaussian(1.0, 1),
+                                      WeightDistribution.student_t(2.0, np.eye(2))],
+                             ids=["gaussian", "student"])
+    def test_reloaded_generators_draw_as_fresh_ones(self, dist):
+        bias = BiasDistribution.gaussian(1.0)
+        seeds = _derive_seeds(9, (16,), range(5))
+        keys = _stream_keys(seeds, dist, bias)
+        streams = None
+        for i, seed in enumerate(seeds):
+            streams = _keyed_streams(keys, i, streams)  # each reused after drawing
+            w, b = np.empty((16, dist.d)), np.empty(16)
+            for _ in _draw_blocks(dist, bias, 16, streams, w, b):
+                pass
+            w_ref, b_ref = sample_weights(dist, bias, 16, int(seed))
+            assert np.array_equal(w, w_ref) and np.array_equal(b, b_ref)
+            assert int(seed) == derive_seed(9, 16, i)
 
 
 class TestOneLawSampler:
@@ -440,8 +507,9 @@ class TestLawsRefuseNonFinite:
         lambda: WeightDistribution.isotropic_gaussian(math.nan, 2),
         lambda: WeightDistribution(np.array([[math.nan]])),
         lambda: matern_kernel(math.inf, np.eye(2)),
+        lambda: BiasDistribution.uniform(-1e308, 1e308),
     ], ids=["gaussian_nan", "uniform_inf", "gaussian_two_params", "unknown_family",
-            "isotropic_nan", "weight_nan", "matern_nu_inf"])
+            "isotropic_nan", "weight_nan", "matern_nu_inf", "uniform_width_overflows"])
     def test_refused(self, make):
         with pytest.raises(LAW_ERRORS):
             make()

@@ -276,6 +276,12 @@ class TestMaximizeScalar:
         with pytest.raises(NumericalFailureError):
             maximize_scalar(lambda r: np.nan, (0.0, 1.0), 1e-8)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, np.nan, np.inf])
+    def test_bad_tol_refused(self, tol):
+        # A NaN tol would end golden-section refinement at once.
+        with pytest.raises(InvalidArgumentError, match="tol"):
+            maximize_scalar(lambda r: -(r - 0.3) ** 2, (0.0, 1.0), tol)
+
 
 class TestSymEigMax:
     def test_identity(self):

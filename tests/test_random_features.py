@@ -269,6 +269,38 @@ class TestBlockedEstimatorBitIdentity:
         assert np.array_equal(argmax, ref_argmax)
 
 
+class TestStackedMaps:
+    """A stack of maps gives each map the bits it has alone."""
+
+    @pytest.mark.parametrize("act", [scaled_cosine(), relu(), tanh_activation(), identity()],
+                             ids=lambda a: a.name)
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("n", [1, 7, 16, 1024])
+    def test_stack_matches_each_map_alone(self, act, d, n):
+        dist = WeightDistribution.student_t(2.0, np.eye(d)) if n == 7 else \
+            WeightDistribution.isotropic_gaussian(1.0, d)
+        maps = [build_feature_map(dist, UNIFORM_PHASE, act, n, 31 * n + m) for m in range(7)]
+        stack = RandomFeatureMap(np.stack([fm.weights for fm in maps]),
+                                 np.stack([fm.biases for fm in maps]), act)
+        assert (stack.d, stack.n_features) == (d, n)
+        rng = np.random.default_rng(n + d)
+        grids = [rng.uniform(-1.0, 1.0, size=(size, d)) for size in (1, 9, 37)]
+        if d == 1:
+            grids.append(default_grid_1d())  # the rotation route for cos
+        for grid in grids:
+            values, points = empirical_lipschitz(stack, grid)
+            assert values.shape == (7,) and points.shape == (7, d)
+            for m, fm in enumerate(maps):
+                value, point = empirical_lipschitz(fm, grid)
+                assert values[m] == value, (grid.shape, m)
+                assert np.array_equal(points[m], point), (grid.shape, m)
+
+    def test_single_map_returns_a_float_and_a_point(self):
+        fm = build_feature_map(ISO_2D, UNIFORM_PHASE, relu(), 8, 0)
+        value, point = empirical_lipschitz(fm, np.zeros((3, 2)))
+        assert isinstance(value, float) and point.shape == (2,)
+
+
 ROTATION_RTOL = 1e-12
 
 
