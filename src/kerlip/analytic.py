@@ -220,21 +220,21 @@ def variance_decomposition_check(act: Activation, gamma: float,
 
     dist = WeightDistribution.isotropic_gaussian(gamma, x.size)
     sizes = [min(_MC_CHUNK, n - lo) for lo in range(0, n, _MC_CHUNK)]
-    seeds = [derive_seed(seed, i) for i in range(len(sizes))]
+    keys = kernels._stream_keys(derive_seed(seed, range(len(sizes))), dist, bias)
     workers = min(len(sizes), _usable_cpus())
     # The buffers are made here, one set per worker: glibc keeps a thread's
     # own arena after its arrays are freed, which would raise the resident peak.
     rows = min(sizes[0], _MC_BLOCK_ROWS)
     free = queue.SimpleQueue()
     for _ in range(workers):
-        free.put((np.empty(sizes[0]), np.empty((rows, x.size)), np.empty(rows)))
+        free.put((np.empty(sizes[0]), np.empty((rows, x.size)), np.empty(rows), None))
 
     def chunk_sums(i):
         """``(sum, sum of squares)`` of the squared values of chunk ``i``."""
-        vals, w, b = buffers = free.get()
+        vals, w, b, streams = free.get()
         try:
-            for lo, hi, wk, bk in kernels._draw_blocks(
-                    dist, bias, sizes[i], kernels._streams(seeds[i], dist, bias), w, b):
+            streams = kernels._keyed_streams(keys, i, streams)
+            for lo, hi, wk, bk in kernels._draw_blocks(dist, bias, sizes[i], streams, w, b):
                 out = vals[lo:hi]
                 np.matmul(wk, z, out=out)
                 pre = wk @ x
@@ -248,7 +248,7 @@ def variance_decomposition_check(act: Activation, gamma: float,
             np.square(chunk, out=chunk)
             return total, float(np.sum(chunk))
         finally:
-            free.put(buffers)
+            free.put((vals, w, b, streams))
 
     total = total_sq = 0.0
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -283,12 +283,20 @@ def hessian_lipschitz_oracle(kernel: ShiftInvariantKernel,
     """Independent route: ``sqrt(lambda_max(-hessian(kappa)(0)))``.
 
     Only valid for kernels with a finite second spectral moment (the
-    Hessian at 0 does not exist otherwise).
+    Hessian at 0 does not exist otherwise).  Near that edge, for Matern
+    ``nu`` just above 1, the finite differences are off by about
+    ``h**(2 (nu - 1))`` relative; where that exceeds 1e-2, the gap the
+    crosscheck allows, a :class:`NumericalFailureError` is raised.
     """
     if second_moment_status(kernel.spectral) is None:
         raise HypothesisViolationError(
             "kernel has infinite second spectral moment; kappa is not twice "
             "differentiable at 0")
+    nu = kernel.spectral.nu
+    if nu is not None and h ** (2.0 * (nu - 1.0)) > 1e-2:
+        raise NumericalFailureError(
+            f"step h = {h:g} is too coarse for nu = {nu:g}: the finite-difference "
+            f"Hessian is off by about h**(2 (nu - 1)) = {h ** (2.0 * (nu - 1.0)):.3g} relative")
     def kappa(delta):
         return kappa_eval(kernel, delta)
 

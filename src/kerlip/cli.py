@@ -318,7 +318,7 @@ def _rnn_spec(cfg: RunConfig):
 
 def _cmd_analytic(cfg: RunConfig) -> int:
     act, _, bias = _rnn_spec(cfg)
-    r_domain = (0.0, cfg.r_max) if cfg.r_max > 0 else None
+    r_domain = (0.0, cfg.r_max) if cfg.r_max != 0 else None
     report = analytic.rnn_lipschitz(act, cfg.gamma, bias, r_domain, cfg.tol)
     print(f"Lip = {_format_lip(report.value)}  (argmax r = {report.argmax_r:.6g}, "
           f"error estimate {report.error_estimate:.3g})")

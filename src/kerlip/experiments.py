@@ -8,7 +8,6 @@ the output.
 import contextlib
 import json
 import math
-import queue
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -16,9 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from . import kernels
 from .errors import ExperimentIOError, InvalidConfigurationError
-from .features import RandomFeatureMap, build_feature_map, empirical_lipschitz
+from .features import build_feature_map, empirical_lipschitz
 from .kernels import (
     Activation,
     BiasDistribution,
@@ -65,9 +63,9 @@ class QuantileSweepConfig:
     def __post_init__(self):
         n_list = tuple(int(n) for n in self.n_list)
         object.__setattr__(self, "n_list", n_list)
-        if any(b <= a for a, b in zip(n_list, n_list[1:])) or not n_list:
+        if any(b <= a for a, b in zip(n_list, n_list[1:])) or not n_list or n_list[0] < 1:
             raise InvalidConfigurationError(
-                f"n_list must be nonempty and strictly increasing, got {n_list}")
+                f"n_list must be nonempty, positive and strictly increasing, got {n_list}")
         if not 0.0 < self.delta < 1.0:
             raise InvalidConfigurationError(f"delta must be in (0, 1), got {self.delta}")
         if not math.isfinite(self.lip_reference):
@@ -79,6 +77,8 @@ class QuantileSweepConfig:
                 f"realizations must be >= 1, got {self.realizations}")
         if self.threads < 1:
             raise InvalidConfigurationError(f"threads must be >= 1, got {self.threads}")
+        if self.seed < 0:
+            raise InvalidConfigurationError(f"seed must be non-negative, got {self.seed}")
 
     @staticmethod
     def from_shift_invariant(kernel: ShiftInvariantKernel, **kwargs) -> "QuantileSweepConfig":
@@ -108,8 +108,7 @@ class SweepRow:
     lip_hat_sd: float
 
 
-#: Bytes of the weights and biases that one block of realizations is drawn
-#: into.  Each worker allocates its buffers once per ``N``.
+#: Bytes of the weights and biases of one block of realizations.
 _BLOCK_BYTES = 256 * 1024
 
 
@@ -117,35 +116,19 @@ def _lipschitz_values(cfg: QuantileSweepConfig, n: int, mapper) -> np.ndarray:
     """Grid Lipschitz estimates of the ``cfg.realizations`` maps of ``n`` features.
 
     Realization ``i`` draws from ``derive_seed(cfg.seed, n, i)``, or from
-    ``derive_seed(cfg.seed, i)`` when nested, as ``build_feature_map``
-    would.  One vectorised pass seeds every realization, and the
-    realizations go in blocks: another pass keys a block's Philox streams,
-    each map is drawn into the block's buffers, and one
-    ``empirical_lipschitz`` call takes the whole stack.
+    ``derive_seed(cfg.seed, i)`` when nested.  One call seeds every
+    realization, and the realizations go in blocks: each block is one
+    stacked ``build_feature_map`` draw and one ``empirical_lipschitz`` call.
     """
-    dist, bias, total = cfg.weight_dist, cfg.bias_dist, cfg.realizations
+    dist, total = cfg.weight_dist, cfg.realizations
     size = min(total, max(1, _BLOCK_BYTES // (8 * n * (dist.d + 1))))
-    starts = range(0, total, size)
-    seeds = kernels._derive_seeds(cfg.seed, () if cfg.nested else (n,), range(total))
-    free = queue.SimpleQueue()
-    for _ in range(min(cfg.threads, len(starts))):
-        free.put((np.empty((size, n, dist.d)), np.empty((size, n)), None))
+    seeds = derive_seed(cfg.seed, *(() if cfg.nested else (n,)), range(total))
 
     def block(lo: int) -> np.ndarray:
-        count = min(size, total - lo)
-        keys = kernels._stream_keys(seeds[lo:lo + count], dist, bias)
-        w, b, streams = free.get()
-        try:
-            for j in range(count):
-                streams = kernels._keyed_streams(keys, j, streams)
-                for _ in kernels._draw_blocks(dist, bias, n, streams, w[j], b[j]):
-                    pass
-            maps = RandomFeatureMap(w[:count], b[:count], cfg.activation)
-            return empirical_lipschitz(maps, cfg.grid)[0]
-        finally:
-            free.put((w, b, streams))
+        maps = build_feature_map(dist, cfg.bias_dist, cfg.activation, n, seeds[lo:lo + size])
+        return empirical_lipschitz(maps, cfg.grid)[0]
 
-    return np.concatenate(list(mapper(block, starts)))
+    return np.concatenate(list(mapper(block, range(0, total, size))))
 
 
 def quantile_sweep(cfg: QuantileSweepConfig,

@@ -48,7 +48,8 @@ class RandomFeatureMap:
 
     A stack of ``B`` maps holds weights ``(B, N, d)`` and biases ``(B, N)``;
     ``d`` and ``n_features`` read the trailing axes.  Only
-    :func:`empirical_lipschitz` takes a stack.
+    :func:`empirical_lipschitz` takes a stack; the single-map methods,
+    :func:`empirical_kernel` and :func:`jacobian` refuse one.
     """
 
     weights: np.ndarray
@@ -63,8 +64,15 @@ class RandomFeatureMap:
     def d(self) -> int:
         return self.weights.shape[-1]
 
+    def _refuse_stack(self) -> None:
+        if self.weights.ndim != 2:
+            raise InvalidArgumentError(
+                f"weights of shape {self.weights.shape} hold a stack of maps; "
+                "only empirical_lipschitz takes a stack")
+
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """Feature vector at a single point ``x``."""
+        self._refuse_stack()
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if x.shape != (self.d,):
             raise InvalidArgumentError(f"x has shape {x.shape}, expected ({self.d},)")
@@ -73,14 +81,19 @@ class RandomFeatureMap:
 
     def evaluate_batch(self, xs: np.ndarray) -> np.ndarray:
         """Feature matrix (n_points x N) for a batch of points."""
+        self._refuse_stack()
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
         pre = xs @ self.weights.T + self.biases
         return self.activation.value(pre) / np.sqrt(self.n_features)
 
 
 def build_feature_map(dist: WeightDistribution, bias: BiasDistribution,
-                      act: Activation, n: int, seed: int) -> RandomFeatureMap:
-    """Draw a feature map; bit-reproducible given the same seed."""
+                      act: Activation, n: int, seed) -> RandomFeatureMap:
+    """Draw a feature map; bit-reproducible given the same seed.
+
+    A 1-D uint64 array of seeds draws a stack of maps, one per seed, as
+    :func:`~kerlip.kernels.sample_weights` does.
+    """
     w, b = sample_weights(dist, bias, n, seed)
     return RandomFeatureMap(weights=w, biases=b, activation=act)
 
@@ -96,6 +109,7 @@ def jacobian(fm: RandomFeatureMap, x: np.ndarray) -> np.ndarray:
     Row ``i`` is ``(1 / sqrt(N)) s'(w_i^T x + b_i) w_i``; the derivative
     is 0 at activation kinks by convention.
     """
+    fm._refuse_stack()
     x = np.atleast_1d(np.asarray(x, dtype=float))
     pre = fm.weights @ x + fm.biases
     slope = fm.activation.derivative(pre) / np.sqrt(fm.n_features)

@@ -11,6 +11,7 @@ built on counter-based Philox streams, so draws are reproducible and
 independent of call order.
 """
 
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -241,31 +242,17 @@ def second_moment_status(dist: WeightDistribution) -> Optional[np.ndarray]:
 _DRAW_ROWS = 1 << 16
 
 
-def _stream(seed: int, key: int) -> np.random.Generator:
-    """Philox sub-stream ``key`` of the master ``seed``.
+def derive_seed(seed: int, *indices):
+    """Deterministic 64-bit child seed for an indexed realization.
 
-    Separate sub-streams per component keep draws for ``n`` rows a prefix
-    of the draws for ``n' > n`` rows.
+    With a ``range`` as the last index, the child seed of each of its
+    indices, as a uint64 array.
     """
-    ss = np.random.SeedSequence(seed, spawn_key=(key,))
-    return np.random.Generator(np.random.Philox(ss))
-
-
-def _streams_read(dist: WeightDistribution, bias: BiasDistribution) -> tuple[bool, ...]:
-    """Which of the sub-streams 0, 1, 2 a draw reads: the normals always, the
-    Student mix for Student weights, the biases unless they are a point mass."""
-    return True, dist.nu is not None, bias.family != "point"
-
-
-def _streams(seed: int, dist: WeightDistribution, bias: BiasDistribution) -> tuple:
-    """The sub-streams a draw from ``seed`` reads, in the order ``_draw_blocks``
-    takes them: normals, Student mix and biases, each None when unread."""
-    return tuple(_stream(seed, key) if read else None
-                 for key, read in enumerate(_streams_read(dist, bias)))
-
-
-def derive_seed(seed: int, *indices: int) -> int:
-    """Deterministic 64-bit child seed for an indexed realization."""
+    if min([seed, *(i for i in indices if not isinstance(i, range))]) < 0:
+        raise InvalidArgumentError(f"seed and indices must be non-negative, got "
+                                   f"{(seed, *indices)}")
+    if indices and isinstance(indices[-1], range):
+        return _derive_seeds(seed, indices[:-1], indices[-1])
     ss = np.random.SeedSequence(seed, spawn_key=tuple(int(i) for i in indices))
     return int(ss.generate_state(1, np.uint64)[0])
 
@@ -336,33 +323,48 @@ def _pool_state(pool: np.ndarray, n_words: int) -> np.ndarray:
     return np.ascontiguousarray(state).view("<u8").astype(np.uint64)
 
 
+def _word_count(value: int) -> int:
+    """The number of 32-bit words SeedSequence splits the int ``value`` into."""
+    return max(1, -(-int(value).bit_length() // 32))
+
+
 def _derive_seeds(seed: int, prefix: tuple[int, ...], indices: range) -> np.ndarray:
     """``derive_seed(seed, *prefix, i)`` for each ``i`` of ``indices``, as uint64."""
     if indices and not 0 <= min(indices) <= max(indices) <= _MASK32:
-        raise ValueError(f"indices must lie in [0, 2**32), got {indices}")
+        raise InvalidArgumentError(f"indices must lie in [0, 2**32), got {indices}")
     head = np.random.SeedSequence(seed, spawn_key=prefix)
-
-    def words(value):  # 32-bit words SeedSequence splits an int into
-        return max(1, -(-int(value).bit_length() // 32))
-
     # The head's pool holds the seed's words, padded to the pool size, and the prefix's.
-    mixed = max(_POOL_WORDS, words(seed)) + sum(words(i) for i in prefix)
+    mixed = max(_POOL_WORDS, _word_count(seed)) + sum(_word_count(i) for i in prefix)
     last = np.asarray(indices, dtype=np.uint32)[:, None]
     return _pool_state(_mixed_pool(last, head.pool, mixed), 1)[:, 0]
 
 
-def _stream_keys(seeds: np.ndarray, dist: WeightDistribution,
-                 bias: BiasDistribution) -> tuple:
-    """For each 64-bit seed, the Philox key of each sub-stream that
-    ``_streams(seed, dist, bias)`` builds: a ``(len(seeds), 2)`` uint64 array
-    per stream, None where ``_streams`` has None."""
-    seeds = np.asarray(seeds, dtype=np.uint64)
-    words = np.zeros((seeds.size, _POOL_WORDS), dtype=np.uint32)
-    words[:, 0] = seeds & np.uint64(_MASK32)
-    words[:, 1] = seeds >> np.uint64(32)
-    read = _streams_read(dist, bias)
+def _stream_keys(seed, dist: WeightDistribution, bias: BiasDistribution) -> tuple:
+    """The Philox key of each sub-stream that a draw from ``seed`` reads.
+
+    Sub-stream ``k`` of a seed is ``Philox(SeedSequence(seed, spawn_key=(k,)))``:
+    0 holds the normals, 1 the Student mix of Student weights, and 2 the
+    biases unless they are a point mass.  Separate sub-streams keep the
+    draws for ``n`` rows a prefix of those for more rows.  ``seed`` is one
+    non-negative int or a 1-D uint64 array of seeds.  Returns a ``(seeds,
+    2)`` uint64 array of keys per sub-stream, None where the draw reads none.
+    """
+    if isinstance(seed, np.ndarray):
+        if seed.ndim != 1 or seed.dtype != np.uint64:
+            raise InvalidArgumentError(
+                f"seeds must be a 1-D uint64 array, got {seed.dtype} of shape {seed.shape}")
+        words = seed.astype("<u8").view("<u4").reshape(-1, 2)
+    else:
+        seed = operator.index(seed)
+        if seed < 0:
+            raise InvalidArgumentError(f"seed must be non-negative, got {seed}")
+        words = np.array([[seed >> 32 * i & _MASK32 for i in range(_word_count(seed))]],
+                         dtype=np.uint32)
+    # SeedSequence pads the seed's words with zeros to the pool size.
+    words = np.pad(words, ((0, 0), (0, max(0, _POOL_WORDS - words.shape[1]))))
+    read = (True, dist.nu is not None, bias.family != "point")
     keys = np.arange(len(read), dtype=np.uint32)[:, None, None]
-    states = _pool_state(_mixed_pool(keys, _mixed_pool(words), _POOL_WORDS), 2)
+    states = _pool_state(_mixed_pool(keys, _mixed_pool(words), words.shape[1]), 2)
     return tuple(state if r else None for state, r in zip(states, read))
 
 
@@ -371,7 +373,7 @@ _ZEROS4.flags.writeable = False
 
 
 def _keyed_streams(keys: tuple, i: int, streams: Optional[tuple] = None) -> tuple:
-    """The sub-streams of seed ``i`` of ``_stream_keys``, as ``_streams`` builds them.
+    """Generators for the sub-streams of seed ``i`` of ``_stream_keys``.
 
     Setting a Philox state costs a fraction of seeding a new generator, so
     passing the ``streams`` of an earlier call reloads those generators.
@@ -393,10 +395,10 @@ def _draw_blocks(dist: WeightDistribution, bias: BiasDistribution, n: int,
                  streams: tuple, w: np.ndarray, b: np.ndarray):
     """Draw ``n`` weight rows and biases from ``streams`` in row blocks.
 
-    ``streams`` are the generators that ``_streams`` or ``_keyed_streams``
-    gives.  Yields ``(lo, hi, w_k, b_k)`` once rows ``lo:hi`` are drawn:
-    into ``w[lo:hi]`` and ``b[lo:hi]`` when ``w`` holds ``n`` rows, else
-    into the first ``hi - lo`` rows of the buffers.  The blocks are
+    ``streams`` are the generators that ``_keyed_streams`` gives.  Yields
+    ``(lo, hi, w_k, b_k)`` once rows ``lo:hi`` are drawn: into ``w[lo:hi]``
+    and ``b[lo:hi]`` when ``w`` holds ``n`` rows, else into the first
+    ``hi - lo`` rows of the buffers.  The blocks are
     near-equal, of at most ``min(len(w), _DRAW_ROWS)`` rows, so none has
     one row unless ``n == 1``: numpy computes a one-row product on another
     BLAS path, with other last bits.  Each stream is read in row order, so
@@ -430,18 +432,27 @@ def _draw_blocks(dist: WeightDistribution, bias: BiasDistribution, n: int,
 
 
 def sample_weights(dist: WeightDistribution, bias: BiasDistribution,
-                   n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+                   n: int, seed) -> tuple[np.ndarray, np.ndarray]:
     """Draw ``n`` i.i.d. weight rows and biases, deterministically in ``seed``.
 
-    Blocks are drawn in place, so the product holds no second ``(n, d)`` array.
+    ``seed`` is one non-negative int, which gives weights ``(n, d)`` and
+    biases ``(n,)``, or a 1-D uint64 array of ``B`` seeds, which gives
+    weights ``(B, n, d)`` and biases ``(B, n)``; map ``j`` then has the
+    bits that ``int(seed[j])`` alone gives.  Blocks are drawn in place, so
+    the product holds no second ``(n, d)`` array.
     """
     if n < 1:
         raise InvalidArgumentError(f"need n >= 1, got {n}")
-    w = np.empty((n, dist.d))
-    biases = np.empty(n)
-    for _ in _draw_blocks(dist, bias, n, _streams(seed, dist, bias), w, biases):
-        pass
-    return w, biases
+    keys = _stream_keys(seed, dist, bias)
+    maps = len(keys[0])
+    w = np.empty((maps, n, dist.d))
+    biases = np.empty((maps, n))
+    streams = None
+    for j in range(maps):
+        streams = _keyed_streams(keys, j, streams)
+        for _ in _draw_blocks(dist, bias, n, streams, w[j], biases[j]):
+            pass
+    return (w, biases) if isinstance(seed, np.ndarray) else (w[0], biases[0])
 
 
 @dataclass(frozen=True, eq=False)

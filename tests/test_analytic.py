@@ -26,6 +26,7 @@ from kerlip.analytic import (
 from kerlip.errors import (
     HypothesisViolationError,
     InvalidArgumentError,
+    NumericalFailureError,
 )
 from kerlip.kernels import (
     BiasDistribution,
@@ -304,6 +305,11 @@ class TestHessianOracle:
     def test_infinite_moment_rejected(self):
         with pytest.raises(HypothesisViolationError):
             hessian_lipschitz_oracle(laplace_kernel(2))
+
+    @pytest.mark.parametrize("nu, h", [(1.0001, 1e-4), (1.1, 1e-4), (2.0, 0.2)])
+    def test_refuses_nu_near_one_for_its_step(self, nu, h):
+        with pytest.raises(NumericalFailureError, match="too coarse"):
+            hessian_lipschitz_oracle(matern_kernel(nu, np.eye(1)), h)
 
     def test_agrees_with_covariance_route(self):
         for kernel in (gaussian_kernel(np.eye(2)),

@@ -109,6 +109,21 @@ class TestExitStatuses:
         assert name in captured.err and "Traceback" not in captured.err
         assert "Lip" not in captured.out
 
+    @pytest.mark.parametrize("argv, name", [
+        (["empirical", "--seed", "-1"], "seed"),
+        (["quantile-sweep", "--kernel", "gaussian", "--seed", "-1"], "seed"),
+        (["kernel-convergence", "--kernel", "gaussian", "--seed", "-1"], "seed"),
+        (["quantile-sweep", "--kernel", "gaussian", "--n-list", "0,4"], "n_list"),
+        (["analytic", "--activation", "relu", "--bias", "gaussian:1", "--r-max", "-1"], "r_max"),
+        (["analytic", "--activation", "relu", "--bias", "gaussian:1", "--r-max", "nan"], "r_max"),
+    ], ids=["empirical_seed", "sweep_seed", "convergence_seed", "zero_n", "negative_r_max",
+            "nan_r_max"])
+    def test_bad_value_refused(self, argv, name, capsys):
+        assert main(argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert name in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+
     def test_huge_matern_nu_gives_a_finite_constant(self, capsys):
         # 2 nu / (2 nu - 2) is inf / inf here; nu / (nu - 1) is 1.
         assert main(["shift-invariant", "--kernel", "matern", "--nu", "1e308"]) == EXIT_OK
@@ -216,6 +231,18 @@ class TestCommands:
         assert code == EXIT_NUMERICAL
         assert "relative gap: nan" in captured.out
         assert "numerical failure" in captured.err
+
+    @pytest.mark.parametrize("nu", ["1.0001", "1.1"])
+    def test_hessian_oracle_refuses_nu_near_one(self, nu, capsys):
+        # The finite-difference Hessian is off by about h**(2 (nu - 1)) relative.
+        code = main(["crosscheck", "--kernel", "matern", "--nu", nu])
+        captured = capsys.readouterr()
+        assert code == EXIT_NUMERICAL
+        assert "too coarse for nu" in captured.err and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("nu", ["1.25", "1.5", "2"])
+    def test_crosscheck_passes_away_from_nu_one(self, nu, capsys):
+        assert main(["crosscheck", "--kernel", "matern", "--nu", nu]) == EXIT_OK
 
     def test_empirical_runs(self, capsys):
         code = main(["empirical", "--activation", "cos", "--n-features",

@@ -51,6 +51,13 @@ class TestConfigValidation:
         with pytest.raises(InvalidConfigurationError):
             small_config(n_list=(16, 8))
 
+    @pytest.mark.parametrize("overrides", [dict(n_list=(0, 4)), dict(n_list=(-3,)),
+                                           dict(seed=-1)], ids=["zero_n", "negative_n",
+                                                                "negative_seed"])
+    def test_bad_feature_count_or_seed(self, overrides):
+        with pytest.raises(InvalidConfigurationError):
+            small_config(**overrides)
+
     def test_delta_range(self):
         with pytest.raises(InvalidConfigurationError):
             small_config(delta=1.0)

@@ -61,6 +61,29 @@ def test_no_module_imports_another_modules_private_names():
     assert found == []
 
 
+def test_sweep_reads_no_private_name_of_another_module():
+    # The sweep draws through the public sampler, not through kernels' internals.
+    path = Path(importlib.import_module("kerlip").__file__).parent / "experiments.py"
+    tree = ast.parse(path.read_text(), str(path))
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level > 0 and node.module is None
+                                                 or node.module == "kerlip"):
+            modules.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            modules.update(alias.asname or alias.name.split(".")[0] for alias in node.names
+                           if alias.name.split(".")[0] == "kerlip")
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in modules:
+                found.append(f"line {node.lineno}: {ast.unparse(node)}")
+    assert found == []
+
+
 def test_sweep_calls_the_estimator_by_feature_count(monkeypatch):
     # The trace keys features.empirical_lipschitz by (fm.d, fm.n_features).
     from kerlip import experiments

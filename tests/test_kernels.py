@@ -22,7 +22,6 @@ from kerlip.kernels import (
     _derive_seeds,
     _draw_blocks,
     _keyed_streams,
-    _stream,
     _stream_keys,
     derive_seed,
     gaussian_kernel,
@@ -255,6 +254,12 @@ class TestKappaEval:
             assert_allclose(mc, kappa_eval(kernel, delta), atol=0.01)
 
 
+def _stream(seed, key):
+    """numpy's own sub-stream ``key`` of ``seed``: the reference for the keys
+    that ``_stream_keys`` computes and ``_keyed_streams`` loads."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(key,))))
+
+
 def _per_family_sampler(family, d, n, seed, gamma=None, cov=None, nu=None,
                         shape=None, bias=None):
     """The sampler as it was when each weight family had its own branch."""
@@ -329,6 +334,65 @@ class TestVectorisedSeeding:
             w_ref, b_ref = sample_weights(dist, bias, 16, int(seed))
             assert np.array_equal(w, w_ref) and np.array_equal(b, b_ref)
             assert int(seed) == derive_seed(9, 16, i)
+
+
+class TestOneDrawPath:
+    """Every seed is keyed by ``_stream_keys`` and drawn by ``_draw_blocks``."""
+
+    BIASES = [BiasDistribution.uniform(0.0, 2 * np.pi), BiasDistribution.gaussian(1.5),
+              BiasDistribution.point_mass()]
+
+    @given(seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4),
+           student=st.booleans(), bias=st.sampled_from(BIASES), d=st.sampled_from([1, 2]),
+           n=st.sampled_from([1, 2, 17, _DRAW_ROWS + 3]))
+    @settings(max_examples=60, deadline=None)
+    def test_stack_matches_per_seed_calls(self, seeds, student, bias, d, n):
+        dist = WeightDistribution(np.eye(d) + 0.25 * (d - 1), 1.5 if student else None)
+        w, b = sample_weights(dist, bias, n, np.array(seeds, dtype=np.uint64))
+        assert w.shape == (len(seeds), n, d) and b.shape == (len(seeds), n)
+        for j, seed in enumerate(seeds):
+            w_j, b_j = sample_weights(dist, bias, n, seed)
+            assert np.array_equal(w[j], w_j) and np.array_equal(b[j], b_j)
+
+    @given(seed=st.integers(0, 2**200), student=st.booleans(), bias=st.sampled_from(BIASES),
+           n=st.integers(1, 40))
+    @settings(max_examples=80, deadline=None)
+    def test_scalar_seeds_match_numpy_streams(self, seed, student, bias, n):
+        shape = np.array([[2.0, 0.6], [0.6, 1.0]])
+        if student:
+            got = sample_weights(WeightDistribution.student_t(1.5, shape), bias, n, seed)
+            want = _per_family_sampler("student", 2, n, seed, nu=1.5, shape=shape, bias=bias)
+        else:
+            got = sample_weights(WeightDistribution.gaussian_cov(shape), bias, n, seed)
+            want = _per_family_sampler("cov", 2, n, seed, cov=shape, bias=bias)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    @given(seed=st.integers(0, 2**130), prefix=st.lists(st.integers(0, 2**70), max_size=2),
+           start=st.integers(0, 2**32 - 30), count=st.integers(0, 30))
+    @settings(max_examples=60, deadline=None)
+    def test_derive_seed_over_a_range_matches_the_scalar_loop(self, seed, prefix, start,
+                                                               count):
+        indices = range(start, start + count)
+        got = derive_seed(seed, *prefix, indices)
+        assert got.dtype == np.uint64 and got.shape == (count,)
+        assert got.tolist() == [derive_seed(seed, *prefix, i) for i in indices]
+
+    @pytest.mark.parametrize("call", [
+        lambda: derive_seed(-1),
+        lambda: derive_seed(3, -2, 5),
+        lambda: derive_seed(3, range(-1, 4)),
+        lambda: derive_seed(3, range(2**32 - 1, 2**32 + 1)),
+        lambda: sample_weights(WeightDistribution.isotropic_gaussian(1.0, 1),
+                               BiasDistribution.point_mass(), 4, -1),
+        lambda: sample_weights(WeightDistribution.isotropic_gaussian(1.0, 1),
+                               BiasDistribution.point_mass(), 4, np.array([1, 2])),
+        lambda: sample_weights(WeightDistribution.isotropic_gaussian(1.0, 1),
+                               BiasDistribution.point_mass(), 4, np.zeros((2, 2), np.uint64)),
+    ], ids=["negative_seed", "negative_index", "negative_range", "range_past_32_bits",
+            "negative_sample_seed", "int64_seeds", "2d_seeds"])
+    def test_bad_seeds_refused(self, call):
+        with pytest.raises(InvalidArgumentError):
+            call()
 
 
 class TestOneLawSampler:

@@ -295,6 +295,19 @@ class TestStackedMaps:
                 assert values[m] == value, (grid.shape, m)
                 assert np.array_equal(points[m], point), (grid.shape, m)
 
+    @pytest.mark.parametrize("method", ["__call__", "evaluate_batch", "jacobian",
+                                        "empirical_kernel"])
+    def test_single_map_methods_refuse_a_stack(self, method):
+        stack = build_feature_map(ISO_2D, UNIFORM_PHASE, relu(), 8,
+                                  np.arange(3, dtype=np.uint64))
+        x = np.zeros(2)
+        call = {"__call__": lambda: stack(x),
+                "evaluate_batch": lambda: stack.evaluate_batch(x[None]),
+                "jacobian": lambda: jacobian(stack, x),
+                "empirical_kernel": lambda: empirical_kernel(stack, x, x)}[method]
+        with pytest.raises(InvalidArgumentError, match=r"\(3, 8, 2\)"):
+            call()
+
     def test_single_map_returns_a_float_and_a_point(self):
         fm = build_feature_map(ISO_2D, UNIFORM_PHASE, relu(), 8, 0)
         value, point = empirical_lipschitz(fm, np.zeros((3, 2)))
