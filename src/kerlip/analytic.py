@@ -90,8 +90,9 @@ def nu_function(act: Activation, gamma: float, bias: BiasDistribution,
     ``sqrt(nu)`` over ``r = ||x||`` is the feature-map Lipschitz constant
     for isotropic Gaussian weights.
     """
-    if not (0 < gamma < math.inf and 0 <= r < math.inf):
-        raise InvalidArgumentError(f"need finite gamma > 0 and r >= 0, got gamma={gamma}, r={r}")
+    if not (kernels._normal_square(gamma) and 0 <= r < math.inf):
+        raise InvalidArgumentError("need finite gamma > 0 with gamma**2 a normal float and "
+                                   f"finite r >= 0, got gamma={gamma}, r={r}")
     return _nu_with_error(act, gamma, bias, r)[0]
 
 
@@ -116,8 +117,9 @@ def rnn_lipschitz(act: Activation, gamma: float, bias: BiasDistribution,
     continuous); otherwise the directional-derivative formula is not
     guaranteed to hold and a :class:`HypothesisViolationError` is raised.
     """
-    if not 0 < gamma < math.inf:
-        raise InvalidArgumentError(f"gamma must be positive and finite, got {gamma}")
+    if not kernels._normal_square(gamma):
+        raise InvalidArgumentError(
+            f"gamma must be positive and finite, with gamma**2 a normal float, got {gamma}")
     if act.kinks and not bias.absolutely_continuous:
         raise HypothesisViolationError(
             "activation has non-differentiable points and the bias law is not "

@@ -5,8 +5,9 @@ Commands: ``analytic``, ``shift-invariant``, ``empirical``,
 override config-file values, which override documented defaults.  All
 randomized commands take ``--seed`` (default 0, never wall-clock).
 
-Exit statuses: 0 success, 2 invalid configuration / usage, 3 I/O error,
-4 numerical failure, 5 hypothesis violation.
+Exit statuses: 0 success, 2 invalid configuration / usage (a run too
+large to allocate included), 3 I/O error, 4 numerical failure, 5
+hypothesis violation.
 """
 
 import argparse
@@ -16,7 +17,7 @@ from dataclasses import dataclass, fields as dataclass_fields
 
 import numpy as np
 
-from . import analytic, experiments
+from . import analytic, experiments, kernels
 from .errors import (
     ExperimentIOError,
     HypothesisViolationError,
@@ -190,8 +191,9 @@ def _validate(cfg: RunConfig, provided: set) -> None:
     if cfg.command == "quantile-sweep" and "kernel" in provided and activation_like:
         raise UsageError("give either a kernel or an activation specification, "
                          "not both")
-    if not 0 < cfg.gamma < math.inf:
-        raise UsageError(f"gamma must be positive and finite, got {cfg.gamma}")
+    if not kernels._normal_square(cfg.gamma):
+        raise UsageError(f"gamma must be positive and finite, with gamma**2 a normal "
+                         f"float, got {cfg.gamma}")
     if cfg.dim < 1:
         raise UsageError(f"dim must be >= 1, got {cfg.dim}")
     if not 0.0 < cfg.delta < 1.0:
@@ -433,6 +435,9 @@ def main(argv=None) -> int:
     except (InvalidConfigurationError, InvalidArgumentError,
             UnsupportedDistributionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:  # a run too large for this machine
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)

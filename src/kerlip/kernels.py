@@ -194,8 +194,9 @@ class WeightDistribution:
 
     @staticmethod
     def isotropic_gaussian(gamma: float, d: int) -> "WeightDistribution":
-        if not 0 < gamma < np.inf:
-            raise InvalidArgumentError(f"gamma must be positive and finite, got {gamma}")
+        if not _normal_square(gamma):
+            raise InvalidArgumentError(
+                f"gamma must be positive and finite, with gamma**2 a normal float, got {gamma}")
         return WeightDistribution(np.float64(gamma) ** 2 * np.eye(d))
 
     @staticmethod
@@ -209,6 +210,12 @@ class WeightDistribution:
     @staticmethod
     def cauchy(d: int) -> "WeightDistribution":
         return WeightDistribution.student_t(0.5, np.eye(d))
+
+
+def _normal_square(x: float) -> bool:
+    """Whether ``x`` is positive and its square a normal, finite float."""
+    x = float(x)
+    return x > 0 and np.finfo(float).tiny <= x * x < np.inf
 
 
 def _check_spd(m: np.ndarray) -> np.ndarray:
@@ -252,13 +259,19 @@ def derive_seed(seed: int, *indices):
         raise InvalidArgumentError(f"seed and indices must be non-negative, got "
                                    f"{(seed, *indices)}")
     if indices and isinstance(indices[-1], range):
-        return _derive_seeds(seed, indices[:-1], indices[-1])
+        *prefix, last = indices
+        if last and not 0 <= min(last) <= max(last) <= _MASK32:
+            raise InvalidArgumentError(f"indices must lie in [0, 2**32), got {last}")
+        head = np.random.SeedSequence(seed, spawn_key=prefix)
+        # The head's pool holds the seed's words, padded to the pool size, and the prefix's.
+        mixed = max(_POOL_WORDS, _word_count(seed)) + sum(map(_word_count, prefix))
+        return _spawn_states(head.pool, mixed, np.asarray(last, dtype=np.uint32), 1)[:, 0]
     ss = np.random.SeedSequence(seed, spawn_key=tuple(int(i) for i in indices))
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), run on many
-# entropy rows at once.  All arithmetic is on uint32 words, modulo 2**32.
+# The end of numpy's SeedSequence hash (numpy/random/bit_generator.pyx), run
+# on many pools at once.  All arithmetic is on uint32 words, modulo 2**32.
 _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
@@ -266,61 +279,10 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _POOL_WORDS = 4
 
 
-def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
-    """The hash constants ``init * mult**t`` for ``t = 0, ..., count``, as uint32."""
-    out = [init]
-    for _ in range(count):
-        out.append(out[-1] * mult & _MASK32)
-    return np.array(out, dtype=np.uint32)
-
-
-def _mixed_pool(words: np.ndarray, pool: Optional[np.ndarray] = None,
-                mixed: int = 0) -> np.ndarray:
-    """SeedSequence's entropy pool after mixing in the uint32 ``words``.
-
-    ``words`` has shape ``(..., L)``.  Without ``pool``, mixing starts from
-    the first four words, the seed's words padded with zeros (``L >= 4``).
-    With ``pool``, it goes on from a pool that has ``mixed >= 4`` words in
-    it.  The shapes broadcast, so one array operation mixes a word into
-    many pools.  SeedSequence mixes one pool word at a time; the pool words
-    that one step touches do not depend on each other, so each step here
-    is one operation over them, with the hash constants they get in turn.
-    """
-    # 4 hash calls per word: 4 + 12 for the first four, then 4 for each next one.
-    consts = _hash_constants(_INIT_A, _MULT_A, 4 * (mixed + words.shape[-1]))
-    used = 4 * mixed
-
-    def hashmix(value, count):
-        nonlocal used
-        value = value ^ consts[used:used + count]
-        value *= consts[used + 1:used + count + 1]
-        value ^= value >> np.uint32(16)
-        used += count
-        return value
-
-    def mix(x, y):
-        result = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
-        result ^= result >> np.uint32(16)
-        return result
-
-    if pool is None:
-        pool = hashmix(words[..., :_POOL_WORDS], _POOL_WORDS)
-        for src in range(_POOL_WORDS):
-            dst = [i for i in range(_POOL_WORDS) if i != src]
-            pool[..., dst] = mix(pool[..., dst], hashmix(pool[..., src, None], len(dst)))
-        words = words[..., _POOL_WORDS:]
-    for j in range(words.shape[-1]):
-        pool = mix(pool, hashmix(words[..., j, None], _POOL_WORDS))
-    return pool
-
-
-def _pool_state(pool: np.ndarray, n_words: int) -> np.ndarray:
-    """``generate_state(n_words, np.uint64)`` of each pool of ``(..., 4)`` pools."""
-    consts = _hash_constants(_INIT_B, _MULT_B, 2 * n_words)
-    state = pool[..., np.arange(2 * n_words) % _POOL_WORDS] ^ consts[:-1]
-    state *= consts[1:]
-    state ^= state >> np.uint32(16)
-    return np.ascontiguousarray(state).view("<u8").astype(np.uint64)
+def _hash_constants(init: int, mult: int, start: int, count: int) -> np.ndarray:
+    """The hash constants ``init * mult**t`` for ``t = start, ..., start + count``."""
+    return np.array([init * pow(mult, t, 1 << 32) & _MASK32
+                     for t in range(start, start + count + 1)], dtype=np.uint32)
 
 
 def _word_count(value: int) -> int:
@@ -328,15 +290,29 @@ def _word_count(value: int) -> int:
     return max(1, -(-int(value).bit_length() // 32))
 
 
-def _derive_seeds(seed: int, prefix: tuple[int, ...], indices: range) -> np.ndarray:
-    """``derive_seed(seed, *prefix, i)`` for each ``i`` of ``indices``, as uint64."""
-    if indices and not 0 <= min(indices) <= max(indices) <= _MASK32:
-        raise InvalidArgumentError(f"indices must lie in [0, 2**32), got {indices}")
-    head = np.random.SeedSequence(seed, spawn_key=prefix)
-    # The head's pool holds the seed's words, padded to the pool size, and the prefix's.
-    mixed = max(_POOL_WORDS, _word_count(seed)) + sum(_word_count(i) for i in prefix)
-    last = np.asarray(indices, dtype=np.uint32)[:, None]
-    return _pool_state(_mixed_pool(last, head.pool, mixed), 1)[:, 0]
+def _spawn_states(pools: np.ndarray, mixed: int, last: np.ndarray,
+                  n_words: int) -> np.ndarray:
+    """``generate_state(n_words, np.uint64)`` of each child of numpy's pools.
+
+    ``pools`` are SeedSequence pools, shape ``(..., 4)``, with ``mixed``
+    words in each, and a child appends the uint32 spawn-key word ``last``.
+    The shapes broadcast, so one array operation gives many children.
+    SeedSequence mixes one pool word at a time; the four do not depend on
+    each other, so each step here is one operation over them, with the
+    hash constants they get in turn.
+    """
+    # 4 hash calls per word: 4 + 12 for the first four, then 4 for each next one.
+    consts = _hash_constants(_INIT_A, _MULT_A, 4 * mixed, _POOL_WORDS)
+    value = last[..., None] ^ consts[:-1]
+    value *= consts[1:]
+    value ^= value >> np.uint32(16)
+    pool = np.uint32(_MIX_L) * pools - np.uint32(_MIX_R) * value
+    pool ^= pool >> np.uint32(16)
+    consts = _hash_constants(_INIT_B, _MULT_B, 0, 2 * n_words)
+    state = pool[..., np.arange(2 * n_words) % _POOL_WORDS] ^ consts[:-1]
+    state *= consts[1:]
+    state ^= state >> np.uint32(16)
+    return np.ascontiguousarray(state).view("<u8").astype(np.uint64)
 
 
 def _stream_keys(seed, dist: WeightDistribution, bias: BiasDistribution) -> tuple:
@@ -353,18 +329,17 @@ def _stream_keys(seed, dist: WeightDistribution, bias: BiasDistribution) -> tupl
         if seed.ndim != 1 or seed.dtype != np.uint64:
             raise InvalidArgumentError(
                 f"seeds must be a 1-D uint64 array, got {seed.dtype} of shape {seed.shape}")
-        words = seed.astype("<u8").view("<u4").reshape(-1, 2)
+        # A uint64 seed fills two words at most, fewer than the pool holds.
+        seeds, mixed = seed.tolist(), _POOL_WORDS
     else:
         seed = operator.index(seed)
         if seed < 0:
             raise InvalidArgumentError(f"seed must be non-negative, got {seed}")
-        words = np.array([[seed >> 32 * i & _MASK32 for i in range(_word_count(seed))]],
-                         dtype=np.uint32)
-    # SeedSequence pads the seed's words with zeros to the pool size.
-    words = np.pad(words, ((0, 0), (0, max(0, _POOL_WORDS - words.shape[1]))))
+        seeds, mixed = [seed], max(_POOL_WORDS, _word_count(seed))
+    pools = np.array([np.random.SeedSequence(s).pool for s in seeds], dtype=np.uint32)
     read = (True, dist.nu is not None, bias.family != "point")
-    keys = np.arange(len(read), dtype=np.uint32)[:, None, None]
-    states = _pool_state(_mixed_pool(keys, _mixed_pool(words), words.shape[1]), 2)
+    keys = np.arange(len(read), dtype=np.uint32)[:, None]
+    states = _spawn_states(pools.reshape(-1, _POOL_WORDS), mixed, keys, 2)
     return tuple(state if r else None for state, r in zip(states, read))
 
 

@@ -81,7 +81,8 @@ class TestNuFunction:
             nu_function(identity(), 1.0, UNIFORM_PHASE, -0.1)
 
     @pytest.mark.parametrize("gamma, r", [(1.0, math.nan), (1.0, math.inf),
-                                          (math.nan, 1.0), (math.inf, 1.0)])
+                                          (math.nan, 1.0), (math.inf, 1.0),
+                                          (1e-200, 1.0), (1e300, 1.0)])
     def test_non_finite_argument_rejected(self, gamma, r):
         with pytest.raises(InvalidArgumentError, match="gamma=.*, r="):
             nu_function(identity(), gamma, UNIFORM_PHASE, r)
@@ -153,10 +154,16 @@ class TestRnnLipschitz:
         with pytest.raises(InvalidArgumentError):
             rnn_lipschitz(identity(), 1.0, UNIFORM_PHASE, r_domain=(2.0, 1.0))
 
-    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf, 0.0])
+    # A gamma whose square is not a normal float: relu at 1e-200 used to
+    # give a constant of 0 with error estimate 0.
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf, 0.0,
+                                       1e-200, 1e-154, 1e155, 1e300])
+    @pytest.mark.filterwarnings("error")
     def test_bad_gamma_named(self, gamma):
         with pytest.raises(InvalidArgumentError, match="gamma must be positive and finite"):
             rnn_lipschitz(identity(), gamma, UNIFORM_PHASE)
+        with pytest.raises(InvalidArgumentError, match="gamma must be positive and finite"):
+            rnn_lipschitz(relu(), gamma, STD_GAUSSIAN_BIAS)
 
 
 class TestVarianceDecomposition:

@@ -129,6 +129,39 @@ class TestExitStatuses:
         assert main(["shift-invariant", "--kernel", "matern", "--nu", "1e308"]) == EXIT_OK
         assert capsys.readouterr().out.strip() == "Lip = 1"
 
+    @pytest.mark.parametrize("argv", [
+        ["analytic", "--gamma", "1e300"],
+        ["analytic", "--gamma", "1e-200"],
+        ["empirical", "--gamma", "1e-154"],
+        ["shift-invariant", "--kernel", "gaussian", "--gamma", "1e300"],
+    ], ids=["analytic_huge", "analytic_tiny", "empirical_subnormal_square", "kernel_huge"])
+    @pytest.mark.filterwarnings("error")
+    def test_gamma_without_a_normal_square_refused(self, argv, capsys):
+        assert main(argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "gamma" in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_memory_error_status(self, monkeypatch, capsys):
+        # Stands in for an allocation numpy refuses, such as --n-list 4294967297.
+        def fail(cfg):
+            raise MemoryError("Unable to allocate 32.0 GiB for an array with shape "
+                              "(4294967297, 1) and data type float64")
+
+        monkeypatch.setitem(cli._DISPATCH, "quantile-sweep", fail)
+        assert main(["quantile-sweep", "--kernel", "gaussian"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == ("error: Unable to allocate 32.0 GiB for an array with shape "
+                       "(4294967297, 1) and data type float64\n")
+
+    def test_bare_memory_error_status(self, monkeypatch, capsys):
+        def fail(cfg):
+            raise MemoryError
+
+        monkeypatch.setitem(cli._DISPATCH, "analytic", fail)
+        assert main(["analytic"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: out of memory\n"
+
     def test_io_error_status(self, tmp_path, capsys):
         code = main(["quantile-sweep", "--kernel", "gaussian",
                      "--n-list", "8", "--realizations", "2",

@@ -19,9 +19,9 @@ from kerlip.kernels import (
     ShiftInvariantKernel,
     WeightDistribution,
     _DRAW_ROWS,
-    _derive_seeds,
     _draw_blocks,
     _keyed_streams,
+    _spawn_states,
     _stream_keys,
     derive_seed,
     gaussian_kernel,
@@ -288,15 +288,23 @@ def _per_family_sampler(family, d, n, seed, gamma=None, cov=None, nu=None,
     return w, biases
 
 
+def _words(value):
+    """How many uint32 words SeedSequence makes of a non-negative int."""
+    return max(1, (value.bit_length() + 31) // 32)
+
+
 class TestVectorisedSeeding:
-    """The vectorised SeedSequence hash gives numpy's words, every bit."""
+    """Children spawned from numpy's own pools get numpy's words, every bit."""
 
     @given(seed=st.integers(0, 2**130), prefix=st.lists(st.integers(0, 2**70), max_size=2),
            start=st.integers(0, 2**32 - 30), count=st.integers(0, 30))
     @settings(max_examples=150, deadline=None)
     def test_seeds_match_seed_sequence(self, seed, prefix, start, count):
         indices = range(start, start + count)
-        got = _derive_seeds(seed, tuple(prefix), indices)
+        head = np.random.SeedSequence(seed, spawn_key=tuple(prefix))
+        # The head has mixed in the seed's words, padded to four, then the prefix's.
+        mixed = max(4, _words(seed)) + sum(_words(i) for i in prefix)
+        got = _spawn_states(head.pool, mixed, np.array(indices, dtype=np.uint32), 1)[:, 0]
         expected = np.array([np.random.SeedSequence(seed, spawn_key=(*prefix, i))
                              .generate_state(1, np.uint64)[0] for i in indices], dtype=np.uint64)
         assert got.dtype == np.uint64 and got.shape == (count,)
@@ -323,7 +331,7 @@ class TestVectorisedSeeding:
                              ids=["gaussian", "student"])
     def test_reloaded_generators_draw_as_fresh_ones(self, dist):
         bias = BiasDistribution.gaussian(1.0)
-        seeds = _derive_seeds(9, (16,), range(5))
+        seeds = derive_seed(9, 16, range(5))
         keys = _stream_keys(seeds, dist, bias)
         streams = None
         for i, seed in enumerate(seeds):
@@ -510,6 +518,16 @@ class TestWeightLaw:
             WeightDistribution.student_t(nu, np.eye(2))
         with pytest.raises(InvalidArgumentError, match="nu must be positive"):
             matern_kernel(nu, np.eye(2))
+
+    @pytest.mark.parametrize("gamma", [1e-200, 1e-154, 1e155, 1e300])
+    @pytest.mark.filterwarnings("error")
+    def test_gamma_without_a_normal_square_rejected(self, gamma):
+        with pytest.raises(InvalidArgumentError, match="gamma"):
+            WeightDistribution.isotropic_gaussian(gamma, 2)
+
+    @pytest.mark.parametrize("gamma", [1.5e-154, 1e-100, 1e100, 1.3e154])
+    def test_gamma_with_a_normal_square_accepted(self, gamma):
+        assert WeightDistribution.isotropic_gaussian(gamma, 1).shape[0, 0] == gamma * gamma
 
     def test_bad_shape_rejected(self):
         with pytest.raises(InvalidArgumentError, match="positive definite"):
