@@ -7,9 +7,7 @@ and Monte-Carlo cross-checks.
 """
 
 import math
-import operator
 import os
-import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -196,8 +194,9 @@ def variance_decomposition_check(act: Activation, gamma: float,
     and the bias law; the right side is
     ``(x^T z)^2 / ||x||^2 * beta(||x||) + ||z||^2 gamma^2 alpha(||x||)``
     computed by quadrature.  The samples come in chunks of 10^6, each
-    seeded from ``seed`` and its index; the chunks run on every usable
-    core, and the result is bit-identical at any core count.
+    seeded from ``seed`` and its index, and each chunk is drawn and summed
+    in blocks of at most 4,096 rows.  The chunks run on every usable core,
+    and the result is bit-identical at any core count.
     """
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
@@ -206,11 +205,7 @@ def variance_decomposition_check(act: Activation, gamma: float,
             f"x and z must be vectors of one length, got shapes {x.shape} and {z.shape}")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(z))):
         raise InvalidArgumentError("x and z must be finite")
-    try:
-        n = operator.index(mc_samples)
-    except TypeError:
-        raise InvalidArgumentError(
-            f"mc_samples must be an integer, got {mc_samples!r}") from None
+    n = kernels._integer(mc_samples, "mc_samples")
     if n < 1:
         raise InvalidArgumentError(f"need mc_samples >= 1, got {n}")
     norm_x = np.linalg.norm(x)
@@ -223,37 +218,21 @@ def variance_decomposition_check(act: Activation, gamma: float,
     dist = WeightDistribution.isotropic_gaussian(gamma, x.size)
     sizes = [min(_MC_CHUNK, n - lo) for lo in range(0, n, _MC_CHUNK)]
     keys = kernels._stream_keys(derive_seed(seed, range(len(sizes))), dist, bias)
-    workers = min(len(sizes), _usable_cpus())
-    # The buffers are made here, one set per worker: glibc keeps a thread's
-    # own arena after its arrays are freed, which would raise the resident peak.
     rows = min(sizes[0], _MC_BLOCK_ROWS)
-    free = queue.SimpleQueue()
-    for _ in range(workers):
-        free.put((np.empty(sizes[0]), np.empty((rows, x.size)), np.empty(rows), None))
 
     def chunk_sums(i):
-        """``(sum, sum of squares)`` of the squared values of chunk ``i``."""
-        vals, w, b, streams = free.get()
-        try:
-            streams = kernels._keyed_streams(keys, i, streams)
-            for lo, hi, wk, bk in kernels._draw_blocks(dist, bias, sizes[i], streams, w, b):
-                out = vals[lo:hi]
-                np.matmul(wk, z, out=out)
-                pre = wk @ x
-                pre += bk
-                out *= act.derivative(pre)
-            # Square and sum the whole chunk, so numpy's pairwise sum
-            # adds in the same order as over one chunk array.
-            chunk = vals[:sizes[i]]
-            np.square(chunk, out=chunk)
-            total = float(np.sum(chunk))
-            np.square(chunk, out=chunk)
-            return total, float(np.sum(chunk))
-        finally:
-            free.put((vals, w, b, streams))
+        """Sums of ``v**2`` and ``v**4``, ``v = (w^T z) s'(w^T x + b)``, over chunk ``i``."""
+        w, b = np.empty((rows, x.size)), np.empty(rows)
+        total = total_sq = 0.0
+        for w_k, b_k in kernels._draw_blocks(dist, bias, sizes[i],
+                                             kernels._keyed_streams(keys, i), w, b):
+            sq = np.square((w_k @ z) * act.derivative(w_k @ x + b_k))
+            total += float(np.sum(sq))
+            total_sq += float(np.sum(np.square(sq, out=sq)))
+        return total, total_sq
 
     total = total_sq = 0.0
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=min(len(sizes), _usable_cpus())) as pool:
         for chunk_total, chunk_sq in pool.map(chunk_sums, range(len(sizes))):
             total += chunk_total
             total_sq += chunk_sq
@@ -318,9 +297,12 @@ def diagonal_curvature_oracle(k, x: np.ndarray, z: np.ndarray,
     must be non-negative up to round-off; a violation beyond ``-1e-8``
     raises :class:`NumericalFailureError`.
     """
-    x = np.asarray(x, dtype=float)
-    z = np.asarray(z, dtype=float)
-    if abs(np.linalg.norm(z) - 1.0) > 1e-8:
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    if x.ndim != 1 or x.shape != z.shape or not np.isfinite(x).all():
+        raise InvalidArgumentError(
+            f"x must be a finite vector of z's length, got {x} and z of shape {z.shape}")
+    if not abs(np.linalg.norm(z) - 1.0) <= 1e-8:  # a NaN z fails too
         raise InvalidArgumentError("z must be a unit vector")
     step = h * z
     mixed = (k(x + step, x + step) - k(x + step, x - step)

@@ -122,7 +122,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _coerce(key: str, text: str):
+def _coerce(key: str, text: str, where: str):
+    """The value of config-file ``key`` read from ``text``, checked as its flag is."""
     kind = _CONFIG_FIELDS[key]
     try:
         if kind is bool:
@@ -131,15 +132,21 @@ def _coerce(key: str, text: str):
             if text.lower() in ("false", "0", "no"):
                 return False
             raise ValueError(text)
-        return kind(text)
+        value = kind(text)
     except ValueError as exc:
-        raise UsageError(f"malformed value for config key {key!r}: {text!r}") from exc
+        raise UsageError(f"{where}: malformed value for config key {key!r}: {text!r}") from exc
+    # A field's default stands for "unset", as the empty kernel does.
+    choices = _FLAG_OPTIONS.get(key, {}).get("choices")
+    if choices and value not in choices and value != getattr(RunConfig, key):
+        raise UsageError(f"{where}: config key {key!r} must be one of "
+                         f"{', '.join(choices)}, got {text!r}")
+    return value
 
 
 def _read_config_file(path: str) -> dict:
     try:
         text = open(path).read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -152,7 +159,7 @@ def _read_config_file(path: str) -> dict:
         key = key.strip()
         if key not in _CONFIG_FIELDS:
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
-        values[key] = _coerce(key, value.strip())
+        values[key] = _coerce(key, value.strip(), f"{path}:{lineno}")
     return values
 
 
@@ -257,7 +264,9 @@ def _make_kernel(cfg: RunConfig):
         # --gamma scales the bandwidth: Sigma_eff = gamma^2 Sigma, which for
         # the identity matches the random-Fourier-feature convention.
         return gaussian_kernel(cfg.gamma**2 * sigma)
-    return matern_kernel(cfg.nu, sigma)
+    if cfg.kernel == "matern":
+        return matern_kernel(cfg.nu, sigma)
+    raise UsageError(f"unknown kernel {cfg.kernel!r}")
 
 
 def _format_lip(value: float) -> str:

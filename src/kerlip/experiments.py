@@ -8,6 +8,7 @@ the output.
 import contextlib
 import json
 import math
+import operator
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -61,7 +62,14 @@ class QuantileSweepConfig:
     threads: int = 1
 
     def __post_init__(self):
-        n_list = tuple(int(n) for n in self.n_list)
+        try:
+            n_list = tuple(map(operator.index, self.n_list))
+            for name in ("realizations", "seed", "threads"):
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+        except TypeError:
+            raise InvalidConfigurationError(
+                "n_list, realizations, seed and threads must be integers, got "
+                f"{self.n_list}, {self.realizations}, {self.seed} and {self.threads}") from None
         object.__setattr__(self, "n_list", n_list)
         if any(b <= a for a, b in zip(n_list, n_list[1:])) or not n_list or n_list[0] < 1:
             raise InvalidConfigurationError(
@@ -176,22 +184,33 @@ def kernel_convergence_sweep(kernel: ShiftInvariantKernel,
 
     Uses common random numbers: one draw at the largest ``N`` and nested
     prefixes for the smaller counts, so the error sequence reflects pure
-    Monte-Carlo averaging.
+    Monte-Carlo averaging.  Each point of ``pair_grid`` is finite, and a
+    scalar or a vector of the kernel's dimension.
     """
-    n_list = sorted(int(n) for n in n_list)
+    try:
+        n_list = sorted(map(operator.index, n_list))
+    except TypeError:
+        raise InvalidConfigurationError(f"n_list must hold integers, got {n_list}") from None
     if not n_list or n_list[0] < 1:
         raise InvalidConfigurationError(f"invalid n_list: {n_list}")
-    pairs = [(np.atleast_1d(np.asarray(a, dtype=float)),
-              np.atleast_1d(np.asarray(b, dtype=float))) for a, b in pair_grid]
-    if not pairs:
+    try:
+        pairs = np.asarray(list(pair_grid), dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidConfigurationError(f"pair_grid must hold pairs of points: {exc}") from None
+    if not len(pairs):
         raise InvalidConfigurationError("pair_grid must be nonempty")
+    if pairs.ndim == 2:  # scalar points
+        pairs = pairs[..., None]
+    if pairs.shape[1:] != (2, kernel.d) or not np.isfinite(pairs).all():
+        raise InvalidConfigurationError(
+            f"pair_grid must hold pairs of finite points of dimension {kernel.d}, "
+            f"got an array of shape {pairs.shape}")
 
     n_max = n_list[-1]
     fm = build_feature_map(kernel.spectral, BiasDistribution.uniform(0.0, 2.0 * np.pi),
                            scaled_cosine(), n_max, derive_seed(seed, 0))
     # Each distinct point gets one feature row, however many pairs share it.
-    points, which = np.unique(np.stack([p for pair in pairs for p in pair]), axis=0,
-                              return_inverse=True)
+    points, which = np.unique(pairs.reshape(-1, kernel.d), axis=0, return_inverse=True)
     which = which.reshape(len(pairs), 2)
     # Unnormalized features: k_N is the mean of the first N products.
     features = fm.evaluate_batch(points) * np.sqrt(n_max)

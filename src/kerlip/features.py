@@ -70,19 +70,26 @@ class RandomFeatureMap:
                 f"weights of shape {self.weights.shape} hold a stack of maps; "
                 "only empirical_lipschitz takes a stack")
 
+    def _points(self, x, ndim: int = 1) -> np.ndarray:
+        """``x`` as one finite point (``ndim`` 1) or a batch of them (``ndim`` 2)."""
+        self._refuse_stack()
+        x = np.array(x, dtype=float, ndmin=ndim, copy=None)
+        if x.ndim != ndim or x.shape[-1] != self.d:
+            expected = f"({self.d},)" if ndim == 1 else f"(n_points, {self.d})"
+            raise InvalidArgumentError(f"x has shape {x.shape}, expected {expected}")
+        if not np.isfinite(x).all():
+            raise InvalidArgumentError(f"x of shape {x.shape} has non-finite entries")
+        return x
+
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """Feature vector at a single point ``x``."""
-        self._refuse_stack()
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if x.shape != (self.d,):
-            raise InvalidArgumentError(f"x has shape {x.shape}, expected ({self.d},)")
+        x = self._points(x)
         pre = self.weights @ x + self.biases
         return self.activation.value(pre) / np.sqrt(self.n_features)
 
     def evaluate_batch(self, xs: np.ndarray) -> np.ndarray:
         """Feature matrix (n_points x N) for a batch of points."""
-        self._refuse_stack()
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
+        xs = self._points(xs, ndim=2)
         pre = xs @ self.weights.T + self.biases
         return self.activation.value(pre) / np.sqrt(self.n_features)
 
@@ -109,8 +116,7 @@ def jacobian(fm: RandomFeatureMap, x: np.ndarray) -> np.ndarray:
     Row ``i`` is ``(1 / sqrt(N)) s'(w_i^T x + b_i) w_i``; the derivative
     is 0 at activation kinks by convention.
     """
-    fm._refuse_stack()
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = fm._points(x)
     pre = fm.weights @ x + fm.biases
     slope = fm.activation.derivative(pre) / np.sqrt(fm.n_features)
     return slope[:, None] * fm.weights

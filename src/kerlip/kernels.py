@@ -249,24 +249,33 @@ def second_moment_status(dist: WeightDistribution) -> Optional[np.ndarray]:
 _DRAW_ROWS = 1 << 16
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int; a float or another non-integer raises."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidArgumentError(f"{name} must be an integer, got {value!r}") from None
+
+
 def derive_seed(seed: int, *indices):
     """Deterministic 64-bit child seed for an indexed realization.
 
     With a ``range`` as the last index, the child seed of each of its
     indices, as a uint64 array.
     """
-    if min([seed, *(i for i in indices if not isinstance(i, range))]) < 0:
+    *prefix, last = indices if indices and isinstance(indices[-1], range) else (*indices, None)
+    seed, *prefix = (_integer(v, "seed and each index") for v in (seed, *prefix))
+    if min([seed, *prefix]) < 0:
         raise InvalidArgumentError(f"seed and indices must be non-negative, got "
                                    f"{(seed, *indices)}")
-    if indices and isinstance(indices[-1], range):
-        *prefix, last = indices
+    if last is not None:
         if last and not 0 <= min(last) <= max(last) <= _MASK32:
             raise InvalidArgumentError(f"indices must lie in [0, 2**32), got {last}")
         head = np.random.SeedSequence(seed, spawn_key=prefix)
         # The head's pool holds the seed's words, padded to the pool size, and the prefix's.
         mixed = max(_POOL_WORDS, _word_count(seed)) + sum(map(_word_count, prefix))
         return _spawn_states(head.pool, mixed, np.asarray(last, dtype=np.uint32), 1)[:, 0]
-    ss = np.random.SeedSequence(seed, spawn_key=tuple(int(i) for i in indices))
+    ss = np.random.SeedSequence(seed, spawn_key=prefix)
     return int(ss.generate_state(1, np.uint64)[0])
 
 
@@ -332,7 +341,7 @@ def _stream_keys(seed, dist: WeightDistribution, bias: BiasDistribution) -> tupl
         # A uint64 seed fills two words at most, fewer than the pool holds.
         seeds, mixed = seed.tolist(), _POOL_WORDS
     else:
-        seed = operator.index(seed)
+        seed = _integer(seed, "seed")
         if seed < 0:
             raise InvalidArgumentError(f"seed must be non-negative, got {seed}")
         seeds, mixed = [seed], max(_POOL_WORDS, _word_count(seed))
@@ -371,12 +380,12 @@ def _draw_blocks(dist: WeightDistribution, bias: BiasDistribution, n: int,
     """Draw ``n`` weight rows and biases from ``streams`` in row blocks.
 
     ``streams`` are the generators that ``_keyed_streams`` gives.  Yields
-    ``(lo, hi, w_k, b_k)`` once rows ``lo:hi`` are drawn: into ``w[lo:hi]``
-    and ``b[lo:hi]`` when ``w`` holds ``n`` rows, else into the first
-    ``hi - lo`` rows of the buffers.  The blocks are
-    near-equal, of at most ``min(len(w), _DRAW_ROWS)`` rows, so none has
-    one row unless ``n == 1``: numpy computes a one-row product on another
-    BLAS path, with other last bits.  Each stream is read in row order, so
+    the views ``(w_k, b_k)`` of each block once it is drawn: rows
+    ``lo:hi`` of ``w`` and ``b`` when ``w`` holds ``n`` rows, else their
+    first ``hi - lo`` rows.  The blocks are near-equal, of at most
+    ``min(len(w), _DRAW_ROWS)`` rows, so none has one row unless
+    ``n == 1``: numpy computes a one-row product on another BLAS path,
+    with other last bits.  Each stream is read in row order, so
     the blocks draw what one block of ``n`` rows would.  Weights are
     ``z @ chol.T`` with ``z`` standard normal; Student weights divide that
     by ``sqrt(chi2(2 nu) / (2 nu))``.
@@ -403,7 +412,7 @@ def _draw_blocks(dist: WeightDistribution, bias: BiasDistribution, n: int,
             b_k *= bias.params[0]
         else:
             b_k[...] = 0.0
-        yield lo, hi, w_k, b_k
+        yield w_k, b_k
 
 
 def sample_weights(dist: WeightDistribution, bias: BiasDistribution,
@@ -416,7 +425,7 @@ def sample_weights(dist: WeightDistribution, bias: BiasDistribution,
     bits that ``int(seed[j])`` alone gives.  Blocks are drawn in place, so
     the product holds no second ``(n, d)`` array.
     """
-    if n < 1:
+    if _integer(n, "n") < 1:
         raise InvalidArgumentError(f"need n >= 1, got {n}")
     keys = _stream_keys(seed, dist, bias)
     maps = len(keys[0])
@@ -484,9 +493,9 @@ def kappa_eval(kernel: ShiftInvariantKernel, delta: np.ndarray) -> float:
     small-argument limit 1, not the singular ``0 * inf`` product.
     """
     delta = np.atleast_1d(np.asarray(delta, dtype=float))
-    if delta.shape != (kernel.d,):
+    if delta.shape != (kernel.d,) or not np.isfinite(delta).all():
         raise InvalidArgumentError(
-            f"delta has shape {delta.shape}, kernel dimension is {kernel.d}")
+            f"delta must be finite, of shape ({kernel.d},), got {delta}")
     law = kernel.spectral
     if law.nu is None:
         return float(np.exp(-0.5 * delta @ law.shape @ delta))

@@ -1,9 +1,16 @@
 """Tests for the command-line interface."""
 
+import contextlib
+import dataclasses
+import io
+import os
+import tempfile
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from kerlip import cli, errors
@@ -74,6 +81,121 @@ class TestParseConfig:
         f.write_text(dump_config(cfg))
         reparsed, _ = parse_config([command, "--config", str(f)])
         assert reparsed == cfg
+
+
+class TestConfigFileChoices:
+    """A config-file value meets the same ``choices`` as its flag."""
+
+    # activation = foo used to die with a raw KeyError, kernel = foo ran
+    # as Matern, and --dump-config echoed both.
+    @pytest.mark.parametrize("argv, line", [
+        (["analytic"], "activation = foo"),
+        (["analytic", "--dump-config"], "activation = foo"),
+        (["shift-invariant"], "kernel = foo"),
+        (["crosscheck", "--dump-config"], "kernel = Matern"),
+    ], ids=["analytic", "dump_activation", "shift_invariant", "dump_kernel"])
+    def test_bad_choice_refused(self, argv, line, tmp_path, capsys):
+        f = tmp_path / "cfg.txt"
+        f.write_text(f"seed = 3\n{line}\n")
+        assert main([*argv, "--config", str(f)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        key = line.split()[0]
+        assert f"{f}:2" in captured.err and repr(key) in captured.err
+        assert captured.out == "" and "Traceback" not in captured.err
+
+    def test_unset_kernel_round_trips(self, tmp_path, capsys):
+        f = tmp_path / "cfg.txt"
+        f.write_text("kernel =\nactivation = relu\n")
+        cfg, _ = parse_config(["analytic", "--config", str(f)])
+        assert cfg.kernel == "" and cfg.activation == "relu"
+
+    def test_unknown_kernel_not_taken_for_matern(self):
+        with pytest.raises(UsageError, match="unknown kernel 'foo'"):
+            cli.run(cli.RunConfig(command="shift-invariant", kernel="foo"))
+
+    def test_undecodable_file_refused(self, tmp_path, capsys):
+        f = tmp_path / "cfg.txt"
+        f.write_bytes(b"bias = \xff\n")
+        assert main(["analytic", "--config", str(f)]) == EXIT_CONFIG
+        assert "Traceback" not in capsys.readouterr().err
+
+    @given(command=st.sampled_from(cli.COMMANDS), key=st.sampled_from(sorted(cli._CONFIG_FIELDS)),
+           value=st.text())
+    @settings(max_examples=200, deadline=None)
+    def test_any_value_dumps_or_exits_2(self, command, key, value):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "cfg.txt")
+            with open(path, "wb") as fh:
+                fh.write(f"{key} = {value}\n".encode("utf-8", "surrogatepass"))
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([command, "--config", path, "--dump-config"])
+        assert code in (EXIT_OK, EXIT_CONFIG)
+        if code == EXIT_OK:
+            dumped = dict(line.split(" = ", 1) for line in out.getvalue().splitlines()[1:])
+            for name, options in cli._FLAG_OPTIONS.items():
+                if "choices" in options:
+                    default = getattr(cli.RunConfig, name)
+                    assert dumped[name] in (*options["choices"], default)
+
+
+class TestSurface:
+    """The CLI surface: a change here is a change of the documented interface."""
+
+    # (option strings or dest, nargs, choices, type, default) of each parser action.
+    ACTIONS = [
+        (("-h", "--help"), 0, None, None, "==SUPPRESS=="),
+        ("command", None, cli.COMMANDS, None, None),
+        (("--config",), None, None, None, None),
+        (("--dump-config",), 0, None, None, False),
+        (("--activation",), None, ("cos", "identity", "relu", "tanh"), "str", None),
+        (("--gamma",), None, None, "float", None),
+        (("--bias",), None, None, "str", None),
+        (("--kernel",), None, ("gaussian", "matern", "laplace"), "str", None),
+        (("--nu",), None, None, "float", None),
+        (("--sigma",), None, None, "str", None),
+        (("--dim",), None, None, "int", None),
+        (("--n-features",), None, None, "int", None),
+        (("--n-list",), None, None, "str", None),
+        (("--realizations",), None, None, "int", None),
+        (("--delta",), None, None, "float", None),
+        (("--tol",), None, None, "float", None),
+        (("--r-max",), None, None, "float", None),
+        (("--fd-step",), None, None, "float", None),
+        (("--seed",), None, None, "int", None),
+        (("--threads",), None, None, "int", None),
+        (("--grid-points",), None, None, "int", None),
+        (("--pair-grid-size",), None, None, "int", None),
+        (("--nested",), 0, None, None, None),
+        (("--output",), None, None, "str", None),
+        (("--svg",), None, None, "str", None),
+        (("--log",), None, None, "str", None),
+    ]
+
+    # The documented defaults that an unset flag takes.
+    DEFAULTS = {
+        "activation": "cos", "gamma": 1.0, "bias": "uniform:0:6.283185307179586",
+        "kernel": "", "nu": 2.0, "sigma": "identity", "dim": 1, "n_features": 1024,
+        "n_list": "16,32,64,128,256,512,1024,2048,4096", "realizations": 300,
+        "delta": 0.9, "tol": 1e-08, "r_max": 0.0, "fd_step": 0.0001, "seed": 0,
+        "threads": 1, "grid_points": 99, "pair_grid_size": 10, "nested": False,
+        "output": "", "svg": "", "log": "",
+    }
+
+    def test_parser_actions(self):
+        actions = [(tuple(a.option_strings) or a.dest, a.nargs,
+                    None if a.choices is None else tuple(a.choices),
+                    getattr(a.type, "__name__", a.type), a.default)
+                   for a in cli._build_parser()._actions]
+        assert actions == self.ACTIONS
+
+    def test_defaults(self):
+        defaults = {f.name: f.default for f in dataclasses.fields(cli.RunConfig)
+                    if f.name != "command"}
+        assert defaults == self.DEFAULTS
+
+    def test_exit_codes(self):
+        assert (EXIT_OK, EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_HYPOTHESIS) == (0, 2, 3, 4, 5)
 
 
 class TestExitStatuses:

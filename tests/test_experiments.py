@@ -62,6 +62,23 @@ class TestConfigValidation:
         with pytest.raises(InvalidConfigurationError):
             small_config(delta=1.0)
 
+    # A float count, seed or thread count used to be truncated or to fail
+    # later with a raw TypeError.
+    @pytest.mark.parametrize("overrides", [dict(n_list=(16.7,)), dict(n_list=(8, 16.0)),
+                                           dict(realizations=10.5), dict(seed=1.5),
+                                           dict(threads=1.5), dict(n_list=16)],
+                             ids=["n_list", "n_list_whole_float", "realizations", "seed",
+                                  "threads", "n_list_scalar"])
+    def test_non_integer_counts_refused(self, overrides):
+        with pytest.raises(InvalidConfigurationError, match="must be integers"):
+            small_config(**overrides)
+
+    def test_numpy_integers_accepted(self):
+        cfg = small_config(n_list=np.array([8, 16]), realizations=np.int64(5),
+                           seed=np.uint64(3), threads=np.int32(1))
+        assert cfg.n_list == (8, 16)
+        assert quantile_sweep(cfg) == quantile_sweep(small_config(seed=3))
+
     def test_reference_must_be_finite(self):
         with pytest.raises(InvalidConfigurationError):
             small_config(lip_reference=math.inf)
@@ -279,6 +296,31 @@ class TestKernelConvergence:
     def test_empty_pair_grid_rejected(self):
         with pytest.raises(InvalidConfigurationError):
             kernel_convergence_sweep(gaussian_kernel(np.eye(1)), [16], [], 0)
+
+    def test_non_integer_feature_count_refused(self):
+        # [16.9] used to run N = 16.
+        with pytest.raises(InvalidConfigurationError, match="n_list"):
+            kernel_convergence_sweep(gaussian_kernel(np.eye(1)), [16.9], self.PAIRS, 0)
+
+    @pytest.mark.parametrize("d, pairs", [
+        (1, [(np.array([0.5]), np.array([np.nan]))]),
+        (1, [(np.array([0.5]), np.array([np.inf]))]),
+        (2, [(np.array([0.5]), np.array([0.25]))]),
+        (1, [(np.array([0.5, 0.1]), np.array([0.25, 0.0]))]),
+        (2, [(np.array([0.5]), np.array([0.25, 0.0]))]),
+        (1, [(0.5, 0.25, 0.0)]),
+    ], ids=["nan", "inf", "1d_on_2d", "2d_on_1d", "ragged", "triple"])
+    def test_bad_points_refused(self, d, pairs):
+        # A NaN point used to give [(4, nan)], and 1-D points on a 2-D
+        # kernel a raw ValueError.
+        with pytest.raises(InvalidConfigurationError, match="pair_grid"):
+            kernel_convergence_sweep(gaussian_kernel(np.eye(d)), [4], pairs, 0)
+
+    def test_scalar_points_match_vectors(self):
+        scalars = [(float(a[0]), float(b[0])) for a, b in self.PAIRS]
+        kernel = gaussian_kernel(np.eye(1))
+        assert (kernel_convergence_sweep(kernel, [16, 64], scalars, 2)
+                == kernel_convergence_sweep(kernel, [16, 64], self.PAIRS, 2))
 
 
 class TestSweepCsv:

@@ -140,6 +140,29 @@ class TestSampleWeights:
         children = {derive_seed(7, n, i) for n in (16, 32) for i in range(50)}
         assert len(children) == 100
 
+    # Floats used to raise a raw TypeError here.
+    @pytest.mark.parametrize("args", [(1.5, range(3)), (1.5,), (7, 2.0), (7, 2.0, range(3)),
+                                      (7, range(2), 3)],
+                             ids=["seed_range", "seed", "index", "prefix", "inner_range"])
+    def test_derive_seed_refuses_non_integers(self, args):
+        with pytest.raises(InvalidArgumentError, match="must be an integer"):
+            derive_seed(*args)
+
+    def test_sample_weights_refuses_non_integers(self):
+        dist = WeightDistribution.isotropic_gaussian(1.0, 2)
+        with pytest.raises(InvalidArgumentError, match="n must be an integer"):
+            sample_weights(dist, self.BIAS, 2.5, seed=0)
+        with pytest.raises(InvalidArgumentError, match="seed must be an integer"):
+            sample_weights(dist, self.BIAS, 2, seed=1.5)
+
+    def test_numpy_integers_accepted(self):
+        assert derive_seed(np.uint64(7), np.int32(3), 1) == derive_seed(7, 3, 1)
+        assert (derive_seed(np.int64(7), np.int8(3), range(4)) == derive_seed(7, 3, range(4))).all()
+        dist = WeightDistribution.isotropic_gaussian(1.0, 2)
+        got = sample_weights(dist, self.BIAS, np.int64(5), seed=np.uint64(9))
+        want = sample_weights(dist, self.BIAS, 5, seed=9)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
 
 class TestSecondMomentStatus:
     def test_gaussian_cov(self):
@@ -184,6 +207,15 @@ class TestKappaEval:
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_at_zero(self, kernel):
         assert_allclose(kappa_eval(kernel, np.zeros(2)), 1.0, rtol=1e-12)
+
+    # A NaN delta used to give a NaN kappa.
+    @pytest.mark.parametrize("kernel", [gaussian_kernel(np.eye(1)), matern_kernel(2.0, np.eye(1)),
+                                        laplace_kernel(1)], ids=["gaussian", "matern", "laplace"])
+    @pytest.mark.parametrize("delta", [[np.nan], [np.inf], [0.1, 0.2]],
+                             ids=["nan", "inf", "width"])
+    def test_bad_delta_refused(self, kernel, delta):
+        with pytest.raises(InvalidArgumentError, match="delta must be finite"):
+            kappa_eval(kernel, delta)
 
     def test_gaussian_plug_in(self):
         delta = np.array([1.0, 1.0])  # ||delta||^2 = 2

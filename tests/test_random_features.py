@@ -105,6 +105,28 @@ class TestEmpiricalKernel:
         assert np.min(np.linalg.eigvalsh(gram)) >= -1e-10
 
 
+class TestPointChecks:
+    FM = build_feature_map(ISO_2D, UNIFORM_PHASE, tanh_activation(), 8, 3)
+
+    # Wrong widths used to raise numpy's raw ValueError in the batch and
+    # the Jacobian; non-finite points gave NaN features.
+    @pytest.mark.parametrize("method", ["call", "evaluate_batch", "jacobian"])
+    @pytest.mark.parametrize("x", [np.zeros(3), np.zeros((4, 3)), np.ones(1), np.zeros((2, 2, 2)),
+                                   np.array([0.1, np.nan]), np.array([[0.0, 0.0], [np.inf, 0.0]])],
+                             ids=["width3", "batch_width3", "width1", "3d", "nan", "batch_inf"])
+    def test_bad_points_refused(self, method, x):
+        call = {"call": self.FM, "evaluate_batch": self.FM.evaluate_batch,
+                "jacobian": lambda x: jacobian(self.FM, x)}[method]
+        with pytest.raises(InvalidArgumentError, match="x "):
+            call(x)
+
+    def test_batch_rows_are_single_points(self):
+        xs = np.array([[0.1, -0.3], [0.7, 0.2]])
+        batch = self.FM.evaluate_batch(xs)
+        assert_allclose(batch, [self.FM(x) for x in xs], rtol=1e-14)
+        assert_allclose(self.FM.evaluate_batch(xs[0]), batch[:1], rtol=1e-14)
+
+
 class TestJacobian:
     def test_identity_activation(self):
         fm = build_feature_map(ISO_2D, UNIFORM_PHASE, identity(), 16, 5)
