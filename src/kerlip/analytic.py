@@ -114,6 +114,11 @@ def rnn_lipschitz(act: Activation, gamma: float, bias: BiasDistribution,
     bias law (the weight law is Gaussian, hence always absolutely
     continuous); otherwise the directional-derivative formula is not
     guaranteed to hold and a :class:`HypothesisViolationError` is raised.
+
+    A :class:`NumericalFailureError` is raised when the quadrature ladder
+    did not converge at the reported argmax, and, on the default domain,
+    when the scan's best grid point is the domain's last one, since the
+    supremum may then lie beyond it.
     """
     if not kernels._normal_square(gamma):
         raise InvalidArgumentError(
@@ -123,7 +128,8 @@ def rnn_lipschitz(act: Activation, gamma: float, bias: BiasDistribution,
             "activation has non-differentiable points and the bias law is not "
             "absolutely continuous; need a differentiable activation or an "
             "absolutely continuous weight/bias law")
-    if r_domain is None:
+    default_domain = r_domain is None
+    if default_domain:
         r_domain = default_r_domain(gamma, bias)
     r_min, r_max = r_domain
     if not (0 <= r_min < r_max):
@@ -138,6 +144,19 @@ def rnn_lipschitz(act: Activation, gamma: float, bias: BiasDistribution,
 
     result = numerics.maximize_scalar(nu_at, (r_min, r_max), tol)
     nu_max, quad_err = scanned[result.argmax]
+    law = ":".join([bias.family, *(f"{p:g}" for p in bias.params)])
+    setting = f"gamma = {gamma:g}, bias {law}, argmax r = {result.argmax:.6g}"
+    if not quad_err < numerics.LADDER_RTOL:
+        raise NumericalFailureError(
+            f"the quadrature ladder did not converge at the supremum ({setting}, "
+            f"error {quad_err:.3g} against {numerics.LADDER_RTOL:g})")
+    # The bracket starts one grid point below the best one, so the best is
+    # the last grid point exactly when the bracket starts at the second-last.
+    second_last = np.linspace(r_min, r_max, numerics.DEFAULT_SCAN_POINTS)[-2]
+    if default_domain and result.bracket[0] == second_last:
+        raise NumericalFailureError(
+            f"the radius supremum sits at the end of the default search domain "
+            f"[{r_min:g}, {r_max:g}] and may lie beyond it ({setting}, error {quad_err:.3g})")
     value = math.sqrt(max(nu_max, 0.0))
     err = quad_err / (2.0 * value) if value > 0 else quad_err
     return LipschitzReport(value=value, method="thm34-quadrature",
@@ -274,7 +293,8 @@ def hessian_lipschitz_oracle(kernel: ShiftInvariantKernel,
             "kernel has infinite second spectral moment; kappa is not twice "
             "differentiable at 0")
     nu = kernel.spectral.nu
-    if nu is not None and h ** (2.0 * (nu - 1.0)) > 1e-2:
+    # A negative h would make the power complex; hessian_fd refuses it.
+    if nu is not None and h > 0 and h ** (2.0 * (nu - 1.0)) > 1e-2:
         raise NumericalFailureError(
             f"step h = {h:g} is too coarse for nu = {nu:g}: the finite-difference "
             f"Hessian is off by about h**(2 (nu - 1)) = {h ** (2.0 * (nu - 1.0)):.3g} relative")
@@ -293,10 +313,12 @@ def diagonal_curvature_oracle(k, x: np.ndarray, z: np.ndarray,
     """Feature-free curvature lower bound at ``x`` in direction ``z``.
 
     Mixed central difference of the bivariate kernel on its diagonal,
-    square-rooted.  For a positive definite kernel the mixed difference
-    must be non-negative up to round-off; a violation beyond ``-1e-8``
-    raises :class:`NumericalFailureError`.
+    square-rooted, with a step ``h`` in ``[1e-6, 1e-2]``.  For a positive
+    definite kernel the mixed difference must be non-negative up to
+    round-off; a violation beyond ``-1e-8`` raises
+    :class:`NumericalFailureError`.
     """
+    numerics._check_fd_step(h)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     z = np.atleast_1d(np.asarray(z, dtype=float))
     if x.ndim != 1 or x.shape != z.shape or not np.isfinite(x).all():

@@ -16,8 +16,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
-from scipy.special import kv
 
 from .errors import InvalidArgumentError, UnsupportedDistributionError
 
@@ -504,4 +502,8 @@ def kappa_eval(kernel: ShiftInvariantKernel, delta: np.ndarray) -> float:
         return float(np.exp(-arg))
     if arg < 1e-8:
         return 1.0
+    # Only this form needs scipy; importing it here keeps it out of every
+    # process that evaluates no Matern Bessel kernel.
+    from scipy.special import gamma as gamma_fn, kv
+
     return float(2.0 ** (1.0 - law.nu) / gamma_fn(law.nu) * arg**law.nu * kv(law.nu, arg))

@@ -22,6 +22,10 @@ _MAX_QUAD_ORDER = 256
 #: Number of grid points that :func:`maximize_scalar` scans.
 DEFAULT_SCAN_POINTS = 512
 
+#: Tolerance of the :func:`expectation_2d_adaptive` ladder: it has
+#: converged when two successive orders differ by less.
+LADDER_RTOL = 1e-8
+
 #: Default finite-difference step for :func:`hessian_fd`.
 DEFAULT_FD_STEP = 1e-4
 
@@ -125,7 +129,7 @@ def expectation_2d(f, gamma: float, bias, orders: tuple[int, int],
 
 
 def expectation_2d_adaptive(f, gamma: float, bias, zeta_kinks=None,
-                            rtol: float = 1e-8) -> tuple[float, float]:
+                            rtol: float = LADDER_RTOL) -> tuple[float, float]:
     """Doubling ladder around :func:`expectation_2d`.
 
     Both orders start at 64 and are doubled until two successive
@@ -250,6 +254,12 @@ def _hessian_fd_single(kappa, d: int, h: float) -> np.ndarray:
     return 0.5 * (hess + hess.T)
 
 
+def _check_fd_step(h: float) -> None:
+    """Refuse a finite-difference step outside ``[1e-6, 1e-2]``, NaN included."""
+    if not 1e-6 <= h <= 1e-2:
+        raise InvalidArgumentError(f"step h must be in [1e-6, 1e-2], got {h}")
+
+
 def hessian_fd(kappa, d: int,
                h: float = DEFAULT_FD_STEP) -> tuple[np.ndarray, np.ndarray]:
     """Finite-difference Hessian of ``kappa`` at 0, Richardson-extrapolated.
@@ -259,8 +269,7 @@ def hessian_fd(kappa, d: int,
     term.  Returns ``(extrapolated, coarse)``; the coarse ``H(h)`` gives
     callers an error estimate.  ``h`` must lie in ``[1e-6, 1e-2]``.
     """
-    if not 1e-6 <= h <= 1e-2:
-        raise InvalidArgumentError(f"step h must be in [1e-6, 1e-2], got {h}")
+    _check_fd_step(h)
     coarse = _hessian_fd_single(kappa, d, h)
     fine = _hessian_fd_single(kappa, d, h / 2.0)
     return (4.0 * fine - coarse) / 3.0, coarse

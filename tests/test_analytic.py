@@ -154,6 +154,14 @@ class TestRnnLipschitz:
         with pytest.raises(InvalidArgumentError):
             rnn_lipschitz(identity(), 1.0, UNIFORM_PHASE, r_domain=(2.0, 1.0))
 
+    def test_edge_of_a_given_domain_is_kept(self):
+        # cos with an N(0, 1) bias at gamma = 0.1 peaks past the default domain's
+        # end, which is a guess; the end of a domain the caller gives is taken.
+        with pytest.raises(NumericalFailureError, match="end of the default search domain"):
+            rnn_lipschitz(scaled_cosine(), 0.1, STD_GAUSSIAN_BIAS)
+        report = rnn_lipschitz(scaled_cosine(), 0.1, STD_GAUSSIAN_BIAS, r_domain=(0.0, 2.0))
+        assert report.argmax_r == 2.0
+
     # A gamma whose square is not a normal float: relu at 1e-200 used to
     # give a constant of 0 with error estimate 0.
     @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf, 0.0,
@@ -324,6 +332,11 @@ class TestHessianOracle:
         with pytest.raises(NumericalFailureError, match="too coarse"):
             hessian_lipschitz_oracle(matern_kernel(nu, np.eye(1)), h)
 
+    def test_negative_step_refused(self):
+        # h**(2 (nu - 1)) was complex and raised a raw TypeError.
+        with pytest.raises(InvalidArgumentError, match="step h"):
+            hessian_lipschitz_oracle(matern_kernel(1.75, np.eye(1)), -1e-4)
+
     def test_agrees_with_covariance_route(self):
         for kernel in (gaussian_kernel(np.eye(2)),
                        gaussian_kernel(np.diag([1.0, 4.0])),
@@ -366,6 +379,17 @@ class TestDiagonalCurvatureOracle:
     def test_bad_points_refused(self, x, z):
         with pytest.raises(InvalidArgumentError):
             diagonal_curvature_oracle(gaussian_kernel(np.eye(2)), np.array(x), np.array(z))
+
+    # h = 0 raised a raw ZeroDivisionError; a negative, NaN, infinite or
+    # out-of-range step was taken silently by a plain callable kernel.
+    @pytest.mark.parametrize("h", [0.0, -1e-4, math.nan, math.inf, 1e-7, 0.1],
+                             ids=["zero", "negative", "nan", "inf", "too_fine", "too_coarse"])
+    def test_bad_step_refused(self, h):
+        def k(x, y):
+            return float(np.exp(-0.5 * np.sum((x - y) ** 2)))
+
+        with pytest.raises(InvalidArgumentError, match="step h"):
+            diagonal_curvature_oracle(k, np.zeros(2), np.array([1.0, 0.0]), h=h)
 
     def test_lower_bounds_exact_constant(self):
         # Sandwich: curvature at any (x, z) never exceeds the exact value.

@@ -246,6 +246,13 @@ class TestExitStatuses:
         assert name in captured.err and "Traceback" not in captured.err
         assert captured.out == ""
 
+    def test_negative_fd_step_refused(self, capsys):
+        # It raised a raw TypeError from a complex power.
+        argv = ["crosscheck", "--kernel", "matern", "--nu", "1.75", "--fd-step=-1e-4"]
+        assert main(argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "step h" in captured.err and "Traceback" not in captured.err
+
     def test_huge_matern_nu_gives_a_finite_constant(self, capsys):
         # 2 nu / (2 nu - 2) is inf / inf here; nu / (nu - 1) is 1.
         assert main(["shift-invariant", "--kernel", "matern", "--nu", "1e308"]) == EXIT_OK
@@ -262,6 +269,28 @@ class TestExitStatuses:
         assert main(argv) == EXIT_CONFIG
         captured = capsys.readouterr()
         assert "gamma" in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+
+    # Each printed a wrong constant with exit 0.  The first three peak where
+    # the default search domain ends; the rest take their argmax at a radius
+    # whose quadrature ladder did not converge.
+    @pytest.mark.parametrize("activation, bias, gamma, cause", [
+        ("cos", "gaussian:1", "0.05", "end of the default search domain"),
+        ("cos", "gaussian:1", "0.1", "end of the default search domain"),
+        ("cos", "point:0", "0.1", "end of the default search domain"),
+        ("cos", "gaussian:1", "1", "did not converge"),
+        ("cos", "gaussian:1", "3", "did not converge"),
+        ("cos", "point:0", "2", "did not converge"),
+        ("cos", "uniform:-1:2", "1", "did not converge"),
+        ("relu", "uniform:-1:2", "1", "did not converge"),
+    ])
+    def test_wrong_supremum_refused(self, activation, bias, gamma, cause, capsys):
+        argv = ["analytic", "--activation", activation, "--bias", bias, "--gamma", gamma]
+        assert main(argv) == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert cause in captured.err and "Traceback" not in captured.err
+        for named in (f"gamma = {gamma},", f"bias {bias},", "argmax r = ", "error "):
+            assert named in captured.err
         assert captured.out == ""
 
     def test_memory_error_status(self, monkeypatch, capsys):
