@@ -80,18 +80,89 @@ def _nu_with_error(act: Activation, gamma: float, bias: BiasDistribution,
     return numerics.expectation_2d_adaptive(f, gamma, bias, _kink_locator(act, r))
 
 
+def _profile_1d(act: Activation, gamma: float, bias: BiasDistribution):
+    """``nu`` and its error estimate at an array of radii, for a Gaussian or
+    point-mass bias.
+
+    With bias sd ``sigma``, ``tau = r gamma`` and ``s^2 = tau^2 + sigma^2``,
+    ``u = zeta r + b`` is ``N(0, s^2)`` and
+    ``E[zeta^2 | u] = gamma^2 (sigma^2 + tau^2 u^2 / s^2) / s^2``, so
+    ``nu(r) = gamma^2 E_u[(sigma^2 + tau^2 u^2 / s^2) s'(u)^2] / s^2``: two
+    Gaussian moments of ``s'^2`` on one :func:`numerics.panel_rule`, whose
+    kinks sit at fixed u for every radius.  The rule is built once and
+    rebuilt only when a call needs smaller or larger scales.  A point mass
+    at ``r = 0`` gives ``nu = gamma^2 s'(0)^2`` exactly.
+    """
+    sd = bias.sd
+
+    def slope_sq(u):
+        return act.derivative(u) ** 2
+
+    s_min, s_max, rule = math.inf, 0.0, None
+
+    def profile(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        nonlocal s_min, s_max, rule
+        with np.errstate(over="ignore"):
+            tau = r * gamma
+            scale = np.hypot(tau, sd)
+        if not np.all(np.isfinite(scale)):
+            raise NumericalFailureError(
+                f"r * gamma overflows at r = {r[~np.isfinite(scale)][0]:.6g}, gamma = {gamma:g}")
+        nu = np.full(r.shape, gamma**2 * float(slope_sq(np.zeros(1))[0]))
+        error = np.zeros(r.shape)
+        spread = scale > 0.0
+        if spread.any():
+            s = scale[spread]
+            if s.min() < s_min or s.max() > s_max:
+                s_min, s_max = min(s_min, float(s.min())), max(s_max, float(s.max()))
+                rule = numerics.panel_rule(slope_sq, act.kinks, s_min, s_max)
+            m0, m2 = numerics.gaussian_moments(*rule, s)
+            both = gamma**2 * ((sd / s)[:, None] ** 2 * m0 + (tau[spread] / s)[:, None] ** 2 * m2)
+            nu[spread] = both[:, 0]
+            error[spread] = np.abs(both[:, 0] - both[:, 1])
+        return nu, error
+
+    return profile
+
+
+def _ladder_profile(act: Activation, gamma: float, bias: BiasDistribution):
+    """``nu`` and its error estimate at an array of radii, one 2-D ladder each."""
+    def profile(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return np.array([_nu_with_error(act, gamma, bias, x) for x in r.tolist()]).T
+
+    return profile
+
+
+def _converged(value: float, error: float) -> bool:
+    """Whether an error estimate is below ``LADDER_RTOL max(1, |value|)``.
+
+    A relative bound keeps the test meaningful for any gamma, since
+    ``nu`` scales as ``gamma^2``.
+    """
+    return error < numerics.LADDER_RTOL * max(1.0, abs(value))
+
+
 def nu_function(act: Activation, gamma: float, bias: BiasDistribution,
                 r: float) -> float:
     """Curvature profile ``nu(r) = E[zeta^2 s'(zeta r + b)^2]``.
 
     ``zeta ~ N(0, gamma^2)`` independent of ``b``.  The supremum of
     ``sqrt(nu)`` over ``r = ||x||`` is the feature-map Lipschitz constant
-    for isotropic Gaussian weights.
+    for isotropic Gaussian weights.  A Gaussian or point-mass bias takes
+    the 1-D route of :func:`rnn_lipschitz`, which raises
+    :class:`NumericalFailureError` when its two panel orders disagree; a
+    uniform bias takes the 2-D quadrature ladder.
     """
     if not (kernels._normal_square(gamma) and 0 <= r < math.inf):
         raise InvalidArgumentError("need finite gamma > 0 with gamma**2 a normal float and "
                                    f"finite r >= 0, got gamma={gamma}, r={r}")
-    return _nu_with_error(act, gamma, bias, r)[0]
+    if bias.family == "uniform":
+        return _nu_with_error(act, gamma, bias, r)[0]
+    (value,), (error,) = _profile_1d(act, gamma, bias)(np.array([float(r)]))
+    if not _converged(value, error):
+        raise NumericalFailureError(
+            f"the 1-D quadrature did not converge at r = {r:g} (error {error:.3g})")
+    return float(value)
 
 
 def default_r_domain(gamma: float, bias: BiasDistribution) -> tuple[float, float]:
@@ -102,6 +173,25 @@ def default_r_domain(gamma: float, bias: BiasDistribution) -> tuple[float, float
     fully explored.
     """
     return (0.0, 10.0 * gamma * (1.0 + bias.sd))
+
+
+def _scan(evaluate, domain: tuple[float, float], tol: float):
+    """:func:`numerics.maximize_scalar` over ``evaluate``, which maps an
+    array of radii to arrays of ``nu`` and its error estimate.
+
+    Returns the result and every radius the scan evaluated, with its value
+    and error; every argmax candidate is one of them.
+    """
+    calls = []
+
+    def nu_at(r):
+        radii = np.atleast_1d(np.asarray(r, dtype=float))
+        values, errors = evaluate(radii)
+        calls.append((radii, values, errors))
+        return values if np.ndim(r) else float(values[0])
+
+    result = numerics.maximize_scalar(nu_at, domain, tol)
+    return (result, *(np.concatenate(arrays) for arrays in zip(*calls)))
 
 
 def rnn_lipschitz(act: Activation, gamma: float, bias: BiasDistribution,
@@ -115,10 +205,17 @@ def rnn_lipschitz(act: Activation, gamma: float, bias: BiasDistribution,
     continuous); otherwise the directional-derivative formula is not
     guaranteed to hold and a :class:`HypothesisViolationError` is raised.
 
-    A :class:`NumericalFailureError` is raised when the quadrature ladder
-    did not converge at the reported argmax, and, on the default domain,
-    when the scan's best grid point is the domain's last one, since the
-    supremum may then lie beyond it.
+    For a Gaussian or point-mass bias the scan evaluates ``nu`` on one
+    vectorised 1-D quadrature (see ``_profile_1d``), and the 2-D
+    quadrature ladder, which shares no code with it, certifies the value
+    at the argmax.  A uniform bias takes one 2-D ladder per scanned
+    radius.  A :class:`NumericalFailureError` is raised when the 1-D
+    error estimate at any scanned radius, the ladder's at the argmax, or
+    the gap between the two routes there is not below
+    ``LADDER_RTOL max(1, nu)``, and, on the default domain, when the
+    scan's best grid point is the domain's last one, since the supremum
+    may then lie beyond it.  The error estimate is the larger of the
+    route's own estimate and that gap, on the scale of the constant.
     """
     if not kernels._normal_square(gamma):
         raise InvalidArgumentError(
@@ -135,21 +232,34 @@ def rnn_lipschitz(act: Activation, gamma: float, bias: BiasDistribution,
     if not (0 <= r_min < r_max):
         raise InvalidArgumentError(f"need 0 <= r_min < r_max, got {r_domain}")
 
-    # Every argmax candidate is a radius the scan already evaluated.
-    scanned = {}
-
-    def nu_at(r):
-        scanned[r] = _nu_with_error(act, gamma, bias, r)
-        return scanned[r][0]
-
-    result = numerics.maximize_scalar(nu_at, (r_min, r_max), tol)
-    nu_max, quad_err = scanned[result.argmax]
+    one_d = bias.family != "uniform"
+    profile = _profile_1d if one_d else _ladder_profile
+    result, radii, values, errors = _scan(profile(act, gamma, bias), (r_min, r_max), tol)
+    best = int(np.flatnonzero(radii == result.argmax)[0])
+    nu_max, quad_err = float(values[best]), float(errors[best])
     law = ":".join([bias.family, *(f"{p:g}" for p in bias.params)])
     setting = f"gamma = {gamma:g}, bias {law}, argmax r = {result.argmax:.6g}"
-    if not quad_err < numerics.LADDER_RTOL:
+    if one_d:
+        worst = int(np.argmax(errors / np.maximum(1.0, np.abs(values))))
+        if not _converged(values[worst], errors[worst]):
+            raise NumericalFailureError(
+                f"the 1-D quadrature did not converge at r = {radii[worst]:.6g} ({setting}, "
+                f"error {errors[worst]:.3g} against nu = {values[worst]:.6g})")
+        certificate, ladder_err = _nu_with_error(act, gamma, bias, result.argmax)
+        if not _converged(certificate, ladder_err):
+            raise NumericalFailureError(
+                f"the certificate's quadrature ladder did not converge at the supremum "
+                f"({setting}, error {ladder_err:.3g})")
+        gap = abs(certificate - nu_max)
+        if not _converged(nu_max, gap):
+            raise NumericalFailureError(
+                f"the 1-D quadrature and its 2-D certificate differ at the supremum "
+                f"({setting}, error {gap:.3g}: nu = {nu_max:.17g} against {certificate:.17g})")
+        quad_err = max(quad_err, gap)
+    elif not _converged(nu_max, quad_err):
         raise NumericalFailureError(
             f"the quadrature ladder did not converge at the supremum ({setting}, "
-            f"error {quad_err:.3g} against {numerics.LADDER_RTOL:g})")
+            f"error {quad_err:.3g} against nu = {nu_max:.6g})")
     # The bracket starts one grid point below the best one, so the best is
     # the last grid point exactly when the bracket starts at the second-last.
     second_last = np.linspace(r_min, r_max, numerics.DEFAULT_SCAN_POINTS)[-2]
@@ -283,18 +393,20 @@ def hessian_lipschitz_oracle(kernel: ShiftInvariantKernel,
     """Independent route: ``sqrt(lambda_max(-hessian(kappa)(0)))``.
 
     Only valid for kernels with a finite second spectral moment (the
-    Hessian at 0 does not exist otherwise).  Near that edge, for Matern
-    ``nu`` just above 1, the finite differences are off by about
-    ``h**(2 (nu - 1))`` relative; where that exceeds 1e-2, the gap the
-    crosscheck allows, a :class:`NumericalFailureError` is raised.
+    Hessian at 0 does not exist otherwise).  A step ``h`` outside
+    ``[1e-6, 1e-2]`` raises :class:`InvalidArgumentError`, for every
+    kernel alike.  Near the edge, for Matern ``nu`` just above 1, the
+    finite differences are off by about ``h**(2 (nu - 1))`` relative; where
+    that exceeds 1e-2, the gap the crosscheck allows, a
+    :class:`NumericalFailureError` is raised.
     """
     if second_moment_status(kernel.spectral) is None:
         raise HypothesisViolationError(
             "kernel has infinite second spectral moment; kappa is not twice "
             "differentiable at 0")
+    numerics._check_fd_step(h)
     nu = kernel.spectral.nu
-    # A negative h would make the power complex; hessian_fd refuses it.
-    if nu is not None and h > 0 and h ** (2.0 * (nu - 1.0)) > 1e-2:
+    if nu is not None and h ** (2.0 * (nu - 1.0)) > 1e-2:
         raise NumericalFailureError(
             f"step h = {h:g} is too coarse for nu = {nu:g}: the finite-difference "
             f"Hessian is off by about h**(2 (nu - 1)) = {h ** (2.0 * (nu - 1.0)):.3g} relative")

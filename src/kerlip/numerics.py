@@ -29,6 +29,24 @@ LADDER_RTOL = 1e-8
 #: Default finite-difference step for :func:`hessian_fd`.
 DEFAULT_FD_STEP = 1e-4
 
+#: Layout of :func:`panel_rule`: Legendre panels of width 0.5 on
+#: ``[-20, 20]``, each one 1.25 times wider than the last beyond it, and
+#: halving towards 0 down to the smallest Gaussian scale.  Two orders per
+#: panel; their difference is the error estimate.
+_PANEL_WIDTH = 0.5
+_PANEL_SPAN = 20.0
+_PANEL_GROWTH = 1.25
+_PANEL_ORDERS = (32, 16)
+_MAX_PANELS = 16384
+
+#: :func:`gaussian_moments` takes scales 8 at a time and nodes 4,096 at a
+#: time, so each temporary is 256 KiB.  Nodes beyond 12 scales (weight
+#: below 1e-30) or within 1e-12 of one scale of 0 are left out.
+_SCALE_BLOCK = 8
+_NODE_CHUNK = 4096
+_TAIL_SCALES = 12.0
+_CORE_SCALES = 1e-12
+
 
 @dataclass(frozen=True)
 class ScalarMaxResult:
@@ -151,6 +169,104 @@ def expectation_2d_adaptive(f, gamma: float, bias, zeta_kinks=None,
     return value, error
 
 
+def _panel_edges(s_min: float, extent: float, kinks) -> np.ndarray:
+    """Sorted panel edges on ``[-extent, extent]``, rounded out to an edge."""
+    if not (np.isfinite(extent) and s_min > 0.0):
+        raise NumericalFailureError(
+            f"no u-panels reach from scale {s_min:.3g} out to |u| = {extent:.3g}")
+    levels = max(0, int(np.ceil(np.log2(_PANEL_WIDTH / s_min))))
+    inner = min(int(np.ceil(extent / _PANEL_WIDTH)), round(_PANEL_SPAN / _PANEL_WIDTH))
+    # Outer edge k sits at 20 + 2 (1.25^(k+1) - 1.25).
+    outer = 0
+    if extent > _PANEL_SPAN:
+        grow = (extent - _PANEL_SPAN) * (_PANEL_GROWTH - 1.0) / _PANEL_WIDTH + _PANEL_GROWTH
+        outer = max(1, int(np.ceil(np.log(grow) / np.log(_PANEL_GROWTH))) - 1)
+    if 2 * (levels + inner + outer) + len(kinks) > _MAX_PANELS:
+        raise NumericalFailureError(
+            f"the u-rule from scale {s_min:.3g} out to |u| = {extent:.3g} needs more "
+            f"than {_MAX_PANELS} panels")
+    positive = np.concatenate([
+        _PANEL_WIDTH * 0.5 ** np.arange(levels, 0, -1),
+        _PANEL_WIDTH * np.arange(1, inner + 1),
+        _PANEL_SPAN + np.cumsum(_PANEL_WIDTH * _PANEL_GROWTH ** np.arange(1, outer + 1))])
+    end = positive[-1]
+    inside = [k for k in kinks if -end < k < end]
+    edges = np.sort(np.concatenate([-positive, [0.0], positive, inside]))
+    return edges[np.concatenate([[True], np.diff(edges) > 0.0])]  # np.unique imports numpy.ma
+
+
+def _panel_nodes(edges: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(panels, n)`` nodes and weights of an order-``n`` Legendre rule per panel."""
+    nodes, weights = _leggauss(n)
+    half = 0.5 * np.diff(edges)[:, None]
+    return 0.5 * (edges[1:] + edges[:-1])[:, None] + half * nodes, half * weights
+
+
+def panel_rule(f, kinks, s_min: float, s_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """Legendre panels in u for Gaussian moments of ``f`` at scales in
+    ``[s_min, s_max]`` (see :func:`gaussian_moments`).
+
+    Panel edges sit at ``kinks``, at 0 and at halving steps from 0.5
+    down to ``s_min``, every 0.5 out to 20 and 1.25 times wider per panel
+    beyond, out to ``12 s_max``.  A panel on which the 16- and 32-node
+    rules of ``f`` alone differ by more than 1e-13 of its width times
+    ``max |f|`` is halved, until none does or the rule would pass 16,384
+    panels; the error estimate of :func:`gaussian_moments` then shows
+    what is left unresolved.  Returns the sorted ``|u|`` of every node and
+    its ``(n, 2)`` weights times ``f(u)``: the 32-node rule's column, then
+    the 16-node rule's, each zero at the other rule's nodes.
+    """
+    edges = _panel_edges(s_min, _TAIL_SCALES * s_max, kinks)
+    while True:
+        rules = [_panel_nodes(edges, n) for n in _PANEL_ORDERS]
+        values = [np.asarray(f(u), dtype=float) for u, _ in rules]
+        sums = [np.sum(w * v, axis=1) for (_, w), v in zip(rules, values)]
+        scale = max(float(np.max(np.abs(v))) for v in values)
+        unresolved = np.abs(sums[0] - sums[1]) > 1e-13 * np.diff(edges) * scale
+        if not unresolved.any() or edges.size + np.count_nonzero(unresolved) > _MAX_PANELS:
+            break
+        middles = 0.5 * (edges[1:] + edges[:-1])
+        edges = np.sort(np.concatenate([edges, middles[unresolved]]))
+    u = np.concatenate([rule[0].ravel() for rule in rules])
+    weights = np.zeros((u.size, 2))
+    split = rules[0][0].size
+    weights[:split, 0] = (rules[0][1] * values[0]).ravel()
+    weights[split:, 1] = (rules[1][1] * values[1]).ravel()
+    order = np.argsort(np.abs(u), kind="stable")
+    return np.abs(u)[order], weights[order]
+
+
+def gaussian_moments(abs_u: np.ndarray, weights: np.ndarray,
+                     scales: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Zeroth and second Gaussian moments of a :func:`panel_rule`, per scale.
+
+    For each scale ``s > 0`` and weight column ``k``, the moments are
+    ``sum_j weights[j, k] phi(t_j) / s * (1, t_j^2)`` with ``t_j = |u_j| / s``
+    and ``phi`` the standard normal density.  Returns two
+    ``(len(scales), 2)`` arrays.
+    """
+    m0 = np.zeros((scales.size, weights.shape[1]))
+    m2 = np.zeros_like(m0)
+    for lo in range(0, scales.size, _SCALE_BLOCK):
+        s = scales[lo:lo + _SCALE_BLOCK]
+        inverse = (1.0 / s)[:, None]
+        first = np.searchsorted(abs_u, _CORE_SCALES * s.min())
+        last = np.searchsorted(abs_u, _TAIL_SCALES * s.max(), side="right")
+        for start in range(first, last, _NODE_CHUNK):
+            stop = min(start + _NODE_CHUNK, last)
+            t_sq = abs_u[start:stop] * inverse
+            np.minimum(t_sq, 40.0, out=t_sq)  # phi(40) is 0 in floats; 40^2 is finite
+            np.square(t_sq, out=t_sq)
+            density = np.multiply(t_sq, -0.5)
+            np.exp(density, out=density)
+            m0[lo:lo + _SCALE_BLOCK] += density @ weights[start:stop]
+            m2[lo:lo + _SCALE_BLOCK] += np.multiply(density, t_sq, out=t_sq) @ weights[start:stop]
+        norm = inverse / np.sqrt(2.0 * np.pi)
+        m0[lo:lo + _SCALE_BLOCK] *= norm
+        m2[lo:lo + _SCALE_BLOCK] *= norm
+    return m0, m2
+
+
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -158,9 +274,13 @@ def maximize_scalar(g, domain: tuple[float, float], tol: float) -> ScalarMaxResu
     """Maximize a scalar function on a finite interval.
 
     Coarse scan of ``DEFAULT_SCAN_POINTS`` grid points followed by
-    golden-section refinement around the best grid cell.  Ties break to
-    the smallest argmax (first grid index), which makes the result
-    deterministic.  For unimodal ``g`` the argmax error is at most ``tol``.
+    golden-section refinement around the best grid cell.  ``g`` is called
+    once with the whole grid as an array and must return an array of its
+    shape or a scalar, which is broadcast; the refinement then calls it
+    with Python floats.  Ties break to the smallest argmax (first grid
+    index), which makes the result deterministic.  For unimodal ``g`` the
+    argmax error is at most ``tol``, or a few ulps of the argmax where
+    those are larger.
     """
     a, b = domain
     if not (np.isfinite(a) and np.isfinite(b) and a < b):
@@ -169,12 +289,10 @@ def maximize_scalar(g, domain: tuple[float, float], tol: float) -> ScalarMaxResu
         raise InvalidArgumentError(f"tol must be positive and finite, got {tol}")
 
     grid = np.linspace(a, b, DEFAULT_SCAN_POINTS)
-    values = np.empty(DEFAULT_SCAN_POINTS)
-    for i, r in enumerate(grid):
-        v = g(float(r))
-        if np.isnan(v):
-            raise NumericalFailureError(f"objective returned NaN at {r}")
-        values[i] = v
+    values = np.broadcast_to(np.asarray(g(grid), dtype=float), grid.shape)
+    nan = np.isnan(values)
+    if nan.any():
+        raise NumericalFailureError(f"objective returned NaN at {grid[np.argmax(nan)]}")
     evaluations = DEFAULT_SCAN_POINTS
 
     best = int(np.argmax(values))  # argmax takes the first of equal maxima
@@ -187,7 +305,8 @@ def maximize_scalar(g, domain: tuple[float, float], tol: float) -> ScalarMaxResu
     x2 = lo + _GOLDEN * (hi - lo)
     f1, f2 = g(float(x1)), g(float(x2))
     evaluations += 2
-    while hi - lo > tol:
+    # Below a few ulps of the bracket's ends the interior points stop moving.
+    while hi - lo > max(tol, 8.0 * np.spacing(max(abs(lo), abs(hi)))):
         if np.isnan(f1) or np.isnan(f2):
             raise NumericalFailureError("objective returned NaN during refinement")
         if f1 >= f2:

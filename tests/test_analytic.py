@@ -118,13 +118,17 @@ class TestRnnLipschitz:
         report = rnn_lipschitz(identity(), 2.0, BiasDistribution.point_mass())
         assert_allclose(report.value, 2.0, rtol=1e-8)
 
-    @pytest.mark.parametrize("act, bias", [
-        (relu(), STD_GAUSSIAN_BIAS),
-        (identity(), BiasDistribution.point_mass()),
-    ], ids=["relu", "identity"])
-    def test_one_ladder_per_scan_evaluation(self, act, bias, monkeypatch):
-        # The reported value and error come from the scan's own ladders.
-        ladders, scans = [], []
+    @pytest.mark.parametrize("act, bias, per_radius", [
+        (relu(), STD_GAUSSIAN_BIAS, False),
+        (identity(), BiasDistribution.point_mass(), False),
+        (scaled_cosine(), UNIFORM_PHASE, True),
+    ], ids=["relu", "identity", "uniform"])
+    def test_one_ladder_per_scan_evaluation(self, act, bias, per_radius, monkeypatch):
+        # A Gaussian or point-mass bias scans the grid in one array call on
+        # the 1-D route and certifies the argmax with one 2-D ladder; a
+        # uniform bias takes one ladder per scanned radius.  The reported
+        # value comes from the scan either way.
+        ladders, scans, grid_calls = [], [], []
         adaptive = numerics.expectation_2d_adaptive
         maximize = numerics.maximize_scalar
 
@@ -132,8 +136,13 @@ class TestRnnLipschitz:
             ladders.append(args)
             return adaptive(*args, **kwargs)
 
-        def recorded_maximize(*args, **kwargs):
-            scans.append(maximize(*args, **kwargs))
+        def recorded_maximize(g, *args, **kwargs):
+            def counted(r):
+                if np.ndim(r):
+                    grid_calls.append(np.size(r))
+                return g(r)
+
+            scans.append(maximize(counted, *args, **kwargs))
             return scans[-1]
 
         monkeypatch.setattr(numerics, "expectation_2d_adaptive", counted_adaptive)
@@ -141,7 +150,8 @@ class TestRnnLipschitz:
         report = rnn_lipschitz(act, 1.0, bias)
         assert len(scans) == 1
         assert scans[0].evaluations > numerics.DEFAULT_SCAN_POINTS
-        assert len(ladders) == scans[0].evaluations
+        assert grid_calls == [numerics.DEFAULT_SCAN_POINTS]
+        assert len(ladders) == (scans[0].evaluations if per_radius else 1)
         assert report.value == math.sqrt(scans[0].max_value)
         assert report.argmax_r == scans[0].argmax
 
@@ -172,6 +182,87 @@ class TestRnnLipschitz:
             rnn_lipschitz(identity(), gamma, UNIFORM_PHASE)
         with pytest.raises(InvalidArgumentError, match="gamma must be positive and finite"):
             rnn_lipschitz(relu(), gamma, STD_GAUSSIAN_BIAS)
+
+
+def _tanh_nu_quad(gamma, sd, r):
+    """``nu(r)`` for tanh as one ``quad`` over ``u = r zeta + b ~ N(0, v)``."""
+    from scipy import integrate
+
+    v = (r * gamma) ** 2 + sd**2
+
+    def integrand(u):
+        conditional = gamma**2 - (r * gamma**2) ** 2 / v + (r * gamma**2 * u / v) ** 2
+        sech = 2.0 / (math.exp(u) + math.exp(-u))
+        return conditional * math.exp(-0.5 * u * u / v) / math.sqrt(2.0 * math.pi * v) * sech**4
+
+    # sech(u)^4 < 1e-68 beyond |u| = 40.
+    return sum(integrate.quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+               for lo, hi in ((-40.0, 0.0), (0.0, 40.0)))
+
+
+class TestOneDimensionalRoute:
+    """The 1-D route for Gaussian and point-mass biases against closed forms."""
+
+    # With c = E cos 2b, nu(r) = gamma^2 - c (gamma^2 - 4 gamma^4 r^2) exp(-2 gamma^2 r^2),
+    # which peaks at gamma r = sqrt(3)/2 for c > 0.
+    @pytest.mark.parametrize("gamma", [0.3, 0.5, 1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("bias, c", [
+        (BiasDistribution.gaussian(0.5), math.exp(-0.5)),
+        (STD_GAUSSIAN_BIAS, math.exp(-2.0)),
+        (BiasDistribution.point_mass(), 1.0),
+    ], ids=["gaussian0.5", "gaussian1", "point"])
+    def test_cos_closed_form(self, bias, c, gamma):
+        report = rnn_lipschitz(scaled_cosine(), gamma, bias)
+        expected = gamma * math.sqrt(1.0 + max(2.0 * c * math.exp(-1.5), -c))
+        assert_allclose(report.value, expected, rtol=1e-9)
+
+    @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
+    def test_relu_gaussian_bias(self, gamma):
+        report = rnn_lipschitz(relu(), gamma, STD_GAUSSIAN_BIAS)
+        assert_allclose(report.value, gamma / math.sqrt(2.0), rtol=1e-12)
+
+    # The 2-D Hermite ladder was 49% off at r = 15 and 25% at r = 28.
+    @pytest.mark.parametrize("r", [0.5, 5.0, 15.0, 28.0])
+    def test_tanh_profile_matches_quad(self, r):
+        value = nu_function(tanh_activation(), 1.0, STD_GAUSSIAN_BIAS, r)
+        assert_allclose(value, _tanh_nu_quad(1.0, 1.0, r), rtol=1e-10)
+
+    def test_point_mass_at_zero_radius(self):
+        # u = b = 0, so nu(0) = gamma^2 s'(0)^2 with tanh'(0) = 1.
+        value = nu_function(tanh_activation(), 1.3, BiasDistribution.point_mass(), 0.0)
+        assert value == 1.3**2
+
+    def test_unresolved_profile_refused(self):
+        # s'(u)^2 = 2 sin(u)^2 oscillates out to |u| ~ 1e151 here, past what
+        # 16,384 panels can resolve, so the two panel orders disagree.
+        with pytest.raises(NumericalFailureError, match="1-D quadrature did not converge"):
+            nu_function(scaled_cosine(), 1.0, STD_GAUSSIAN_BIAS, 1e150)
+
+    def test_certificate_ladder_must_converge(self, monkeypatch):
+        monkeypatch.setattr(analytic, "_nu_with_error", lambda act, g, b, r: (0.5, 1e-3))
+        with pytest.raises(NumericalFailureError, match="certificate's quadrature ladder"):
+            rnn_lipschitz(relu(), 1.0, STD_GAUSSIAN_BIAS)
+
+    def test_routes_must_agree(self, monkeypatch):
+        monkeypatch.setattr(analytic, "_nu_with_error", lambda act, g, b, r: (0.5 + 1e-7, 0.0))
+        with pytest.raises(NumericalFailureError, match="differ at the supremum"):
+            rnn_lipschitz(relu(), 1.0, STD_GAUSSIAN_BIAS)
+
+    def test_unconverged_radius_refused(self, monkeypatch):
+        # An unconverged low value anywhere on the scan could hide the supremum.
+        profile = analytic._profile_1d
+
+        def noisy(act, gamma, bias):
+            inner = profile(act, gamma, bias)
+
+            def evaluate(r):
+                nu, error = inner(r)
+                return nu, np.where(np.isclose(r, 7.0, atol=0.02), 1e-3, error)
+            return evaluate
+
+        monkeypatch.setattr(analytic, "_profile_1d", noisy)
+        with pytest.raises(NumericalFailureError, match="1-D quadrature did not converge at r = 7"):
+            rnn_lipschitz(relu(), 1.0, STD_GAUSSIAN_BIAS)
 
 
 class TestVarianceDecomposition:
@@ -327,9 +418,16 @@ class TestHessianOracle:
         with pytest.raises(HypothesisViolationError):
             hessian_lipschitz_oracle(laplace_kernel(2))
 
-    @pytest.mark.parametrize("nu, h", [(1.0001, 1e-4), (1.1, 1e-4), (2.0, 0.2)])
+    @pytest.mark.parametrize("nu, h", [(1.0001, 1e-4), (1.1, 1e-4), (1.4, 1e-2)])
     def test_refuses_nu_near_one_for_its_step(self, nu, h):
         with pytest.raises(NumericalFailureError, match="too coarse"):
+            hessian_lipschitz_oracle(matern_kernel(nu, np.eye(1)), h)
+
+    @pytest.mark.parametrize("nu, h", [(2.0, 0.2), (1.75, math.inf)])
+    def test_step_range_is_checked_before_the_band(self, nu, h):
+        # A step outside hessian_fd's range gets the same refusal as for a
+        # Gaussian kernel, not the band's "too coarse".
+        with pytest.raises(InvalidArgumentError, match=r"step h must be in \[1e-6, 1e-2\]"):
             hessian_lipschitz_oracle(matern_kernel(nu, np.eye(1)), h)
 
     def test_negative_step_refused(self):

@@ -5,6 +5,7 @@ import dataclasses
 import io
 import os
 import tempfile
+import time
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -253,6 +254,16 @@ class TestExitStatuses:
         captured = capsys.readouterr()
         assert "step h" in captured.err and "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("kernel", [["gaussian"], ["matern", "--nu", "1.75"]],
+                             ids=["gaussian", "matern"])
+    def test_out_of_range_fd_step_is_one_status(self, kernel, capsys):
+        # Matern used to exit 4 with "too coarse" here, Gaussian 2.
+        argv = ["crosscheck", "--kernel", *kernel, "--dim", "1", "--fd-step", "inf"]
+        assert main(argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "step h must be in [1e-6, 1e-2], got inf" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_huge_matern_nu_gives_a_finite_constant(self, capsys):
         # 2 nu / (2 nu - 2) is inf / inf here; nu / (nu - 1) is 1.
         assert main(["shift-invariant", "--kernel", "matern", "--nu", "1e308"]) == EXIT_OK
@@ -272,15 +283,12 @@ class TestExitStatuses:
         assert captured.out == ""
 
     # Each printed a wrong constant with exit 0.  The first three peak where
-    # the default search domain ends; the rest take their argmax at a radius
-    # whose quadrature ladder did not converge.
+    # the default search domain ends; the uniform ones take their argmax at
+    # a radius whose quadrature ladder did not converge.
     @pytest.mark.parametrize("activation, bias, gamma, cause", [
         ("cos", "gaussian:1", "0.05", "end of the default search domain"),
         ("cos", "gaussian:1", "0.1", "end of the default search domain"),
         ("cos", "point:0", "0.1", "end of the default search domain"),
-        ("cos", "gaussian:1", "1", "did not converge"),
-        ("cos", "gaussian:1", "3", "did not converge"),
-        ("cos", "point:0", "2", "did not converge"),
         ("cos", "uniform:-1:2", "1", "did not converge"),
         ("relu", "uniform:-1:2", "1", "did not converge"),
     ])
@@ -292,6 +300,27 @@ class TestExitStatuses:
         for named in (f"gamma = {gamma},", f"bias {bias},", "argmax r = ", "error "):
             assert named in captured.err
         assert captured.out == ""
+
+    # The radius domain scales as gamma, so the scan runs out to r ~ 1e151;
+    # its golden-section refinement used to spin once its bracket was a few
+    # ulps wide.  ReLU's profile is flat and comes out right; cos's
+    # oscillation cannot be resolved out to |u| ~ 1e302.
+    @pytest.mark.parametrize("activation, status", [("relu", EXIT_OK), ("cos", EXIT_NUMERICAL)])
+    @pytest.mark.filterwarnings("error")
+    def test_huge_gamma_answers_at_once(self, activation, status, tmp_path, capsys):
+        path = tmp_path / "lip.csv"
+        start = time.process_time()
+        code = main(["analytic", "--activation", activation, "--bias", "gaussian:1",
+                     "--gamma", "1e150", "--output", str(path)])
+        assert time.process_time() - start < 1.0
+        assert code == status
+        captured = capsys.readouterr()
+        if status == EXIT_OK:
+            value = float(path.read_text().splitlines()[1].split(",")[1])
+            assert_allclose(value, 1e150 / np.sqrt(2.0), rtol=1e-12)
+        else:
+            assert "1-D quadrature did not converge" in captured.err
+            assert "Traceback" not in captured.err
 
     def test_memory_error_status(self, monkeypatch, capsys):
         # Stands in for an allocation numpy refuses, such as --n-list 4294967297.

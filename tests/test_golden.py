@@ -40,9 +40,9 @@ MATERN_SWEEP = (
 
 RELU_SWEEP = (
     "N,t_hat,quantile_index,lip_hat_mean,lip_hat_sd\n"
-    "8,0.35144572244816374,11,0.79329408447807659,0.17974852188461227\n"
-    "16,0.27632826385383402,11,0.80807766684872817,0.13645202689202418\n"
-    "32,0.3039515089134448,11,0.80613326285799713,0.12799707588429826\n")
+    "8,0.35144572244816408,11,0.79329408447807659,0.17974852188461227\n"
+    "16,0.27632826385383435,11,0.80807766684872817,0.13645202689202418\n"
+    "32,0.30395150891344513,11,0.80613326285799713,0.12799707588429826\n")
 
 GAUSSIAN_LOG = (
     '{"N": 8, "t_hat": 0.43327428946842517, "quantile_index": 11, '
@@ -82,8 +82,8 @@ def test_analytic(tmp_path, capsys):
     out = _run(["analytic", "--activation", "relu", "--bias", "gaussian:1"],
                tmp_path)
     assert out == ("method,value,argmax_r,error_estimate\n"
-                   "thm34-quadrature,0.70710678118654879,0.6025997930911402,"
-                   "1.4915878357495836e-15\n"), BLAS
+                   "thm34-quadrature,0.70710678118654846,3.7731214867654836,"
+                   "2.7084094912295082e-15\n"), BLAS
 
 
 UNIFORM_PHASE = "uniform:0:6.283185307179586"
@@ -91,7 +91,7 @@ UNIFORM_PHASE = "uniform:0:6.283185307179586"
 
 @pytest.mark.parametrize("activation, bias, row", [
     ("relu", UNIFORM_PHASE, "1.0000000000000002,0,3.3306690738754691e-16"),
-    ("tanh", "gaussian:1", "0.68147113104537915,0,6.7202292399062707e-12"),
+    ("tanh", "gaussian:1", "0.68147113104537904,0,1.6291563560764059e-16"),
     ("cos", UNIFORM_PHASE,
      "1.0000000000000033,11.233252373300342,3.3306690738754586e-15"),
 ])
