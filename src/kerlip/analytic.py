@@ -15,7 +15,12 @@ from typing import Optional
 import numpy as np
 
 from . import kernels, numerics
-from .errors import HypothesisViolationError, InvalidArgumentError, NumericalFailureError
+from .errors import (
+    HypothesisViolationError,
+    InvalidArgumentError,
+    NumericalFailureError,
+    UnsupportedDistributionError,
+)
 from .kernels import (
     Activation,
     BiasDistribution,
@@ -81,22 +86,42 @@ def _nu_with_error(act: Activation, gamma: float, bias: BiasDistribution,
 
 
 def _profile_1d(act: Activation, gamma: float, bias: BiasDistribution):
-    """``nu`` and its error estimate at an array of radii, for a Gaussian or
-    point-mass bias.
+    """``nu`` and its error estimate at an array of radii.
 
     With bias sd ``sigma``, ``tau = r gamma`` and ``s^2 = tau^2 + sigma^2``,
-    ``u = zeta r + b`` is ``N(0, s^2)`` and
+    a Gaussian or point-mass bias makes ``u = zeta r + b`` ``N(0, s^2)`` with
     ``E[zeta^2 | u] = gamma^2 (sigma^2 + tau^2 u^2 / s^2) / s^2``, so
     ``nu(r) = gamma^2 E_u[(sigma^2 + tau^2 u^2 / s^2) s'(u)^2] / s^2``: two
     Gaussian moments of ``s'^2`` on one :func:`numerics.panel_rule`, whose
-    kinks sit at fixed u for every radius.  The rule is built once and
-    rebuilt only when a call needs smaller or larger scales.  A point mass
-    at ``r = 0`` gives ``nu = gamma^2 s'(0)^2`` exactly.
+    kinks sit at fixed u for every radius.  A uniform bias on ``(a, c)`` is
+    integrated out exactly: ``E_b[s'(u + b)^2] = D(u) = (S(u + c) - S(u + a))
+    / (c - a)``, with ``S`` the activation's ``slope_sq_integral``, which
+    leaves the point-mass case with ``D`` for ``s'^2`` and kinks moved to
+    ``k - c`` and ``k - a``.  The rule is built once and rebuilt only when
+    a call needs smaller or larger scales.  At ``r = 0`` with no bias
+    spread, ``nu = gamma^2 s'(0)^2`` (or ``gamma^2 D(0)``) exactly.
     """
-    sd = bias.sd
+    if bias.family != "uniform":
+        sd, kinks, rounding = bias.sd, act.kinks, None
 
-    def slope_sq(u):
-        return act.derivative(u) ** 2
+        def slope_sq(u):
+            return act.derivative(u) ** 2
+    else:
+        if act.slope_sq_integral is None:
+            raise UnsupportedDistributionError(
+                f"a uniform bias needs the integral of {act.name}'s squared derivative")
+        a, c = bias.params
+        integral = act.slope_sq_integral
+        sd, kinks = 0.0, [k - end for k in act.kinks for end in (c, a)]
+
+        def slope_sq(u):
+            return (integral(u + c) - integral(u + a)) / (c - a)
+
+        def rounding(extent):
+            # S rises with u, so |S| on [a - extent, c + extent] peaks at an end.
+            with np.errstate(over="ignore", invalid="ignore"):
+                ends = np.abs(integral(np.array([a - extent, c + extent])))
+            return float(np.finfo(float).eps * ends.max() / (c - a))
 
     s_min, s_max, rule = math.inf, 0.0, None
 
@@ -115,20 +140,12 @@ def _profile_1d(act: Activation, gamma: float, bias: BiasDistribution):
             s = scale[spread]
             if s.min() < s_min or s.max() > s_max:
                 s_min, s_max = min(s_min, float(s.min())), max(s_max, float(s.max()))
-                rule = numerics.panel_rule(slope_sq, act.kinks, s_min, s_max)
+                rule = numerics.panel_rule(slope_sq, kinks, s_min, s_max, rounding)
             m0, m2 = numerics.gaussian_moments(*rule, s)
             both = gamma**2 * ((sd / s)[:, None] ** 2 * m0 + (tau[spread] / s)[:, None] ** 2 * m2)
             nu[spread] = both[:, 0]
             error[spread] = np.abs(both[:, 0] - both[:, 1])
         return nu, error
-
-    return profile
-
-
-def _ladder_profile(act: Activation, gamma: float, bias: BiasDistribution):
-    """``nu`` and its error estimate at an array of radii, one 2-D ladder each."""
-    def profile(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return np.array([_nu_with_error(act, gamma, bias, x) for x in r.tolist()]).T
 
     return profile
 
@@ -148,16 +165,13 @@ def nu_function(act: Activation, gamma: float, bias: BiasDistribution,
 
     ``zeta ~ N(0, gamma^2)`` independent of ``b``.  The supremum of
     ``sqrt(nu)`` over ``r = ||x||`` is the feature-map Lipschitz constant
-    for isotropic Gaussian weights.  A Gaussian or point-mass bias takes
-    the 1-D route of :func:`rnn_lipschitz`, which raises
-    :class:`NumericalFailureError` when its two panel orders disagree; a
-    uniform bias takes the 2-D quadrature ladder.
+    for isotropic Gaussian weights.  It takes the 1-D route of
+    :func:`rnn_lipschitz`, which raises :class:`NumericalFailureError`
+    when its two panel orders disagree.
     """
     if not (kernels._normal_square(gamma) and 0 <= r < math.inf):
         raise InvalidArgumentError("need finite gamma > 0 with gamma**2 a normal float and "
                                    f"finite r >= 0, got gamma={gamma}, r={r}")
-    if bias.family == "uniform":
-        return _nu_with_error(act, gamma, bias, r)[0]
     (value,), (error,) = _profile_1d(act, gamma, bias)(np.array([float(r)]))
     if not _converged(value, error):
         raise NumericalFailureError(
@@ -205,17 +219,18 @@ def rnn_lipschitz(act: Activation, gamma: float, bias: BiasDistribution,
     continuous); otherwise the directional-derivative formula is not
     guaranteed to hold and a :class:`HypothesisViolationError` is raised.
 
-    For a Gaussian or point-mass bias the scan evaluates ``nu`` on one
-    vectorised 1-D quadrature (see ``_profile_1d``), and the 2-D
-    quadrature ladder, which shares no code with it, certifies the value
-    at the argmax.  A uniform bias takes one 2-D ladder per scanned
-    radius.  A :class:`NumericalFailureError` is raised when the 1-D
-    error estimate at any scanned radius, the ladder's at the argmax, or
-    the gap between the two routes there is not below
-    ``LADDER_RTOL max(1, nu)``, and, on the default domain, when the
-    scan's best grid point is the domain's last one, since the supremum
-    may then lie beyond it.  The error estimate is the larger of the
-    route's own estimate and that gap, on the scale of the constant.
+    The scan evaluates ``nu`` on one vectorised 1-D quadrature (see
+    ``_profile_1d``), and the 2-D quadrature ladder, which shares no code
+    with it, certifies the value at the argmax.  A
+    :class:`NumericalFailureError` is raised when the 1-D error estimate
+    at any scanned radius, the ladder's at the argmax, or the gap between
+    the two routes there is not below ``LADDER_RTOL max(1, nu)``, and, on
+    the default domain, when the scan's best grid point is the domain's
+    last one, since the supremum may then lie beyond it.  The error
+    estimate is the larger of the 1-D estimate and that gap, on the scale
+    of the constant.  A uniform bias needs the activation's
+    ``slope_sq_integral`` and raises :class:`UnsupportedDistributionError`
+    without it.
     """
     if not kernels._normal_square(gamma):
         raise InvalidArgumentError(
@@ -232,34 +247,27 @@ def rnn_lipschitz(act: Activation, gamma: float, bias: BiasDistribution,
     if not (0 <= r_min < r_max):
         raise InvalidArgumentError(f"need 0 <= r_min < r_max, got {r_domain}")
 
-    one_d = bias.family != "uniform"
-    profile = _profile_1d if one_d else _ladder_profile
-    result, radii, values, errors = _scan(profile(act, gamma, bias), (r_min, r_max), tol)
+    result, radii, values, errors = _scan(_profile_1d(act, gamma, bias), (r_min, r_max), tol)
     best = int(np.flatnonzero(radii == result.argmax)[0])
     nu_max, quad_err = float(values[best]), float(errors[best])
     law = ":".join([bias.family, *(f"{p:g}" for p in bias.params)])
     setting = f"gamma = {gamma:g}, bias {law}, argmax r = {result.argmax:.6g}"
-    if one_d:
-        worst = int(np.argmax(errors / np.maximum(1.0, np.abs(values))))
-        if not _converged(values[worst], errors[worst]):
-            raise NumericalFailureError(
-                f"the 1-D quadrature did not converge at r = {radii[worst]:.6g} ({setting}, "
-                f"error {errors[worst]:.3g} against nu = {values[worst]:.6g})")
-        certificate, ladder_err = _nu_with_error(act, gamma, bias, result.argmax)
-        if not _converged(certificate, ladder_err):
-            raise NumericalFailureError(
-                f"the certificate's quadrature ladder did not converge at the supremum "
-                f"({setting}, error {ladder_err:.3g})")
-        gap = abs(certificate - nu_max)
-        if not _converged(nu_max, gap):
-            raise NumericalFailureError(
-                f"the 1-D quadrature and its 2-D certificate differ at the supremum "
-                f"({setting}, error {gap:.3g}: nu = {nu_max:.17g} against {certificate:.17g})")
-        quad_err = max(quad_err, gap)
-    elif not _converged(nu_max, quad_err):
+    worst = int(np.argmax(errors / np.maximum(1.0, np.abs(values))))
+    if not _converged(values[worst], errors[worst]):
         raise NumericalFailureError(
-            f"the quadrature ladder did not converge at the supremum ({setting}, "
-            f"error {quad_err:.3g} against nu = {nu_max:.6g})")
+            f"the 1-D quadrature did not converge at r = {radii[worst]:.6g} ({setting}, "
+            f"error {errors[worst]:.3g} against nu = {values[worst]:.6g})")
+    certificate, ladder_err = _nu_with_error(act, gamma, bias, result.argmax)
+    if not _converged(certificate, ladder_err):
+        raise NumericalFailureError(
+            f"the certificate's quadrature ladder did not converge at the supremum "
+            f"({setting}, error {ladder_err:.3g})")
+    gap = abs(certificate - nu_max)
+    if not _converged(nu_max, gap):
+        raise NumericalFailureError(
+            f"the 1-D quadrature and its 2-D certificate differ at the supremum "
+            f"({setting}, error {gap:.3g}: nu = {nu_max:.17g} against {certificate:.17g})")
+    quad_err = max(quad_err, gap)
     # The bracket starts one grid point below the best one, so the best is
     # the last grid point exactly when the bracket starts at the second-last.
     second_last = np.linspace(r_min, r_max, numerics.DEFAULT_SCAN_POINTS)[-2]

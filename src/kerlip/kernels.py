@@ -47,6 +47,8 @@ class Activation:
     measurable everywhere.  ``sine_amplitude`` is ``a`` when
     ``derivative(u) = -a sin(u)``, and ``None`` otherwise; the grid
     estimator then computes sines by phase rotation.
+    ``slope_sq_integral`` is ``S(u)``, the integral of ``derivative**2``
+    from 0 to ``u``, or ``None``; a uniform bias needs it.
     """
 
     name: str
@@ -55,6 +57,7 @@ class Activation:
     lipschitz_bound: float
     kinks: tuple[float, ...] = ()
     sine_amplitude: Optional[float] = None
+    slope_sq_integral: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
 
 def scaled_cosine(kappa0: float = 1.0) -> Activation:
@@ -66,6 +69,7 @@ def scaled_cosine(kappa0: float = 1.0) -> Activation:
         derivative=lambda u: -amp * np.sin(u),
         lipschitz_bound=float(amp),
         sine_amplitude=float(amp),
+        slope_sq_integral=lambda u: kappa0 * (u - 0.5 * np.sin(2.0 * u)),
     )
 
 
@@ -76,6 +80,7 @@ def relu() -> Activation:
         derivative=lambda u: np.where(np.asarray(u) > 0.0, 1.0, 0.0),
         lipschitz_bound=1.0,
         kinks=(0.0,),
+        slope_sq_integral=lambda u: np.maximum(u, 0.0),
     )
 
 
@@ -85,6 +90,7 @@ def identity() -> Activation:
         value=lambda u: np.asarray(u, dtype=float),
         derivative=lambda u: np.ones_like(np.asarray(u, dtype=float)),
         lipschitz_bound=1.0,
+        slope_sq_integral=lambda u: np.asarray(u, dtype=float),
     )
 
 
@@ -94,6 +100,7 @@ def tanh_activation() -> Activation:
         value=np.tanh,
         derivative=lambda u: 1.0 - np.tanh(u) ** 2,
         lipschitz_bound=1.0,
+        slope_sq_integral=lambda u: np.tanh(u) - np.tanh(u) ** 3 / 3.0,
     )
 
 

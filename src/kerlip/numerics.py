@@ -202,27 +202,37 @@ def _panel_nodes(edges: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (edges[1:] + edges[:-1])[:, None] + half * nodes, half * weights
 
 
-def panel_rule(f, kinks, s_min: float, s_max: float) -> tuple[np.ndarray, np.ndarray]:
+def panel_rule(f, kinks, s_min: float, s_max: float,
+               rounding=None) -> tuple[np.ndarray, np.ndarray]:
     """Legendre panels in u for Gaussian moments of ``f`` at scales in
     ``[s_min, s_max]`` (see :func:`gaussian_moments`).
 
     Panel edges sit at ``kinks``, at 0 and at halving steps from 0.5
     down to ``s_min``, every 0.5 out to 20 and 1.25 times wider per panel
     beyond, out to ``12 s_max``.  A panel on which the 16- and 32-node
-    rules of ``f`` alone differ by more than 1e-13 of its width times
-    ``max |f|`` is halved, until none does or the rule would pass 16,384
-    panels; the error estimate of :func:`gaussian_moments` then shows
-    what is left unresolved.  Returns the sorted ``|u|`` of every node and
-    its ``(n, 2)`` weights times ``f(u)``: the 32-node rule's column, then
-    the 16-node rule's, each zero at the other rule's nodes.
+    rules of ``f`` alone differ by more than its width times the larger
+    of 1e-13 ``max |f|`` and the rounding level of ``f`` is halved, until
+    none does or the rule would pass 16,384 panels; the error estimate of
+    :func:`gaussian_moments` then shows what is left unresolved.
+    ``rounding``, if given, maps the rule's reach ``12 s_max`` to that
+    level (0 otherwise); a level above ``LADDER_RTOL max |f|`` raises
+    :class:`NumericalFailureError`.  Returns the sorted ``|u|`` of every
+    node and its ``(n, 2)`` weights times ``f(u)``: the 32-node rule's
+    column, then the 16-node rule's, each zero at the other rule's nodes.
     """
-    edges = _panel_edges(s_min, _TAIL_SCALES * s_max, kinks)
+    extent = _TAIL_SCALES * s_max
+    edges = _panel_edges(s_min, extent, kinks)
+    noise = 0.0 if rounding is None else rounding(extent)
     while True:
         rules = [_panel_nodes(edges, n) for n in _PANEL_ORDERS]
         values = [np.asarray(f(u), dtype=float) for u, _ in rules]
         sums = [np.sum(w * v, axis=1) for (_, w), v in zip(rules, values)]
         scale = max(float(np.max(np.abs(v))) for v in values)
-        unresolved = np.abs(sums[0] - sums[1]) > 1e-13 * np.diff(edges) * scale
+        if not noise <= LADDER_RTOL * scale:  # NaN too
+            raise NumericalFailureError(
+                f"the integrand rounds at {noise:.3g} out to |u| = {extent:.3g}, "
+                f"against its largest value {scale:.3g}")
+        unresolved = np.abs(sums[0] - sums[1]) > 1e-13 * np.diff(edges) * max(scale, 1e13 * noise)
         if not unresolved.any() or edges.size + np.count_nonzero(unresolved) > _MAX_PANELS:
             break
         middles = 0.5 * (edges[1:] + edges[:-1])

@@ -1,10 +1,14 @@
 """Tests for the exact Lipschitz evaluators and their oracles."""
 
+import dataclasses
 import math
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from kerlip import analytic, numerics
@@ -27,6 +31,7 @@ from kerlip.errors import (
     HypothesisViolationError,
     InvalidArgumentError,
     NumericalFailureError,
+    UnsupportedDistributionError,
 )
 from kerlip.kernels import (
     BiasDistribution,
@@ -118,16 +123,15 @@ class TestRnnLipschitz:
         report = rnn_lipschitz(identity(), 2.0, BiasDistribution.point_mass())
         assert_allclose(report.value, 2.0, rtol=1e-8)
 
-    @pytest.mark.parametrize("act, bias, per_radius", [
-        (relu(), STD_GAUSSIAN_BIAS, False),
-        (identity(), BiasDistribution.point_mass(), False),
-        (scaled_cosine(), UNIFORM_PHASE, True),
+    @pytest.mark.parametrize("act, bias", [
+        (relu(), STD_GAUSSIAN_BIAS),
+        (identity(), BiasDistribution.point_mass()),
+        (scaled_cosine(), UNIFORM_PHASE),
     ], ids=["relu", "identity", "uniform"])
-    def test_one_ladder_per_scan_evaluation(self, act, bias, per_radius, monkeypatch):
-        # A Gaussian or point-mass bias scans the grid in one array call on
-        # the 1-D route and certifies the argmax with one 2-D ladder; a
-        # uniform bias takes one ladder per scanned radius.  The reported
-        # value comes from the scan either way.
+    def test_one_ladder_per_scan_evaluation(self, act, bias, monkeypatch):
+        # Every bias law scans the grid in one array call on the 1-D route
+        # and certifies the argmax with one 2-D ladder.  The reported value
+        # comes from the scan.
         ladders, scans, grid_calls = [], [], []
         adaptive = numerics.expectation_2d_adaptive
         maximize = numerics.maximize_scalar
@@ -151,7 +155,7 @@ class TestRnnLipschitz:
         assert len(scans) == 1
         assert scans[0].evaluations > numerics.DEFAULT_SCAN_POINTS
         assert grid_calls == [numerics.DEFAULT_SCAN_POINTS]
-        assert len(ladders) == (scans[0].evaluations if per_radius else 1)
+        assert len(ladders) == 1
         assert report.value == math.sqrt(scans[0].max_value)
         assert report.argmax_r == scans[0].argmax
 
@@ -263,6 +267,106 @@ class TestOneDimensionalRoute:
         monkeypatch.setattr(analytic, "_profile_1d", noisy)
         with pytest.raises(NumericalFailureError, match="1-D quadrature did not converge at r = 7"):
             rnn_lipschitz(relu(), 1.0, STD_GAUSSIAN_BIAS)
+
+
+def _tanh_uniform_nu_quad(gamma, a, c, r):
+    """``nu(r)`` for tanh with a ``U(a, c)`` bias, as a ``quad`` over the bias
+    inside a ``quad`` over ``t ~ N(0, 1)``, with ``zeta = gamma t``."""
+    from scipy import integrate
+
+    def sech4(x):
+        return 0.0 if abs(x) > 300.0 else math.cosh(x) ** -4
+
+    def bias_mean(u):
+        return integrate.quad(lambda b: sech4(u + b), a, c, epsabs=0.0, epsrel=1e-13,
+                              limit=200)[0] / (c - a)
+
+    def integrand(t):
+        return t * t * math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi) * bias_mean(r * gamma * t)
+
+    # The window where |u + b| < 40 lies between the split points.
+    tau = r * gamma
+    points = sorted({-12.0, 0.0, 12.0, *(min(max(x / tau, -12.0), 12.0)
+                                         for x in (-c - 40.0, -a + 40.0, -c, -a))})
+    return gamma**2 * sum(integrate.quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-12,
+                                         limit=200)[0]
+                          for lo, hi in zip(points, points[1:]) if hi > lo)
+
+
+def _relu_uniform_nu(gamma, a, c, r):
+    """``gamma^2 (tau / (c - a)) [G(c / tau) - G(a / tau)]`` with ``tau = r gamma``
+    and ``G(t) = t Phi(t) + 2 phi(t)``, the closed form for ReLU."""
+    def big_g(t):
+        return (t * 0.5 * math.erfc(-t / math.sqrt(2.0))
+                + 2.0 * math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi))
+
+    tau = r * gamma
+    return gamma**2 * tau / (c - a) * (big_g(c / tau) - big_g(a / tau))
+
+
+class TestUniformBias:
+    """A uniform bias, integrated out on the 1-D route, against closed forms."""
+
+    # With m = E cos 2b = (sin 2c - sin 2a) / (2 (c - a)), the cos profile is
+    # gamma^2 - m (gamma^2 - 4 gamma^4 r^2) exp(-2 gamma^2 r^2).
+    @given(gamma=st.floats(0.3, 3.0), a=st.floats(-4.0, 4.0), c=st.floats(-4.0, 4.0))
+    @example(gamma=1.0, a=-1.0, c=2.0)  # the 2-D ladder route refused it
+    @settings(max_examples=25, deadline=None)
+    def test_cos_closed_form(self, gamma, a, c):
+        assume(0.1 <= c - a)
+        mean_cos = (math.sin(2.0 * c) - math.sin(2.0 * a)) / (2.0 * (c - a))
+        report = rnn_lipschitz(scaled_cosine(), gamma, BiasDistribution.uniform(a, c))
+        expected = gamma * math.sqrt(1.0 + max(2.0 * mean_cos * math.exp(-1.5), -mean_cos))
+        assert_allclose(report.value, expected, rtol=1e-9)
+
+    @pytest.mark.parametrize("a, c", [(-1.0, 2.0), (0.5, 3.0), (-3.0, -1.0)])
+    @pytest.mark.parametrize("gamma", [0.5, 1.3])
+    @pytest.mark.parametrize("r", [0.3, 1.0, 4.0, 20.0])
+    def test_relu_profile(self, a, c, gamma, r):
+        value = nu_function(relu(), gamma, BiasDistribution.uniform(a, c), r)
+        assert_allclose(value, _relu_uniform_nu(gamma, a, c, r), rtol=1e-12)
+
+    # nu(0) = gamma^2 P(b > 0) = 2 gamma^2 / 3 is the supremum.  The 2-D
+    # ladder route refused gamma = 1.
+    @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
+    def test_relu_minus_one_to_two(self, gamma):
+        report = rnn_lipschitz(relu(), gamma, BiasDistribution.uniform(-1.0, 2.0))
+        assert_allclose(report.value, math.sqrt(2.0 / 3.0) * gamma, rtol=1e-12)
+
+    # The 2-D ladder was 41% off for U(0, 2 pi) and 118% for U(-1, 2) at r = 15.
+    @pytest.mark.parametrize("a, c", [(0.0, 2.0 * math.pi), (-1.0, 2.0)])
+    @pytest.mark.parametrize("r", [0.05, 0.7, 3.0, 15.0])
+    def test_tanh_profile_matches_quad(self, a, c, r):
+        value = nu_function(tanh_activation(), 1.3, BiasDistribution.uniform(a, c), r)
+        assert_allclose(value, _tanh_uniform_nu_quad(1.3, a, c, r), rtol=1e-9)
+
+    def test_activation_without_slope_integral_refused(self):
+        act = dataclasses.replace(tanh_activation(), slope_sq_integral=None)
+        with pytest.raises(UnsupportedDistributionError, match="uniform bias"):
+            rnn_lipschitz(act, 1.0, UNIFORM_PHASE)
+        with pytest.raises(UnsupportedDistributionError, match="uniform bias"):
+            nu_function(act, 1.0, UNIFORM_PHASE, 1.0)
+        assert rnn_lipschitz(act, 1.0, STD_GAUSSIAN_BIAS).value > 0.0
+
+    # S(u + c) - S(u + a) rounds at about eps max |S| / (c - a), which a
+    # narrow window divides by its width.  The 2-D route gave these values.
+    @pytest.mark.parametrize("act, width, two_d", [
+        (relu(), 1e-6, 1.0),
+        (relu(), 1e-9, 1.0),
+        (tanh_activation(), 1e-6, 0.9999999999996668),
+        (tanh_activation(), 1e-9, 1.0),
+        (scaled_cosine(), 1e-6, 1.2026056378948848),
+        (scaled_cosine(), 1e-9, 1.2026056378950085),
+    ], ids=["relu1e-6", "relu1e-9", "tanh1e-6", "tanh1e-9", "cos1e-6", "cos1e-9"])
+    def test_narrow_window_answers_or_refuses_at_once(self, act, width, two_d):
+        start = time.process_time()
+        try:
+            value = rnn_lipschitz(act, 1.0, BiasDistribution.uniform(0.0, width)).value
+        except NumericalFailureError as exc:
+            assert "rounds at" in str(exc)
+        else:
+            assert_allclose(value, two_d, rtol=1e-9)
+        assert time.process_time() - start < 1.0
 
 
 class TestVarianceDecomposition:

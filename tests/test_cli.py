@@ -282,15 +282,12 @@ class TestExitStatuses:
         assert "gamma" in captured.err and "Traceback" not in captured.err
         assert captured.out == ""
 
-    # Each printed a wrong constant with exit 0.  The first three peak where
-    # the default search domain ends; the uniform ones take their argmax at
-    # a radius whose quadrature ladder did not converge.
+    # Each printed a wrong constant with exit 0: they peak where the default
+    # search domain ends.
     @pytest.mark.parametrize("activation, bias, gamma, cause", [
         ("cos", "gaussian:1", "0.05", "end of the default search domain"),
         ("cos", "gaussian:1", "0.1", "end of the default search domain"),
         ("cos", "point:0", "0.1", "end of the default search domain"),
-        ("cos", "uniform:-1:2", "1", "did not converge"),
-        ("relu", "uniform:-1:2", "1", "did not converge"),
     ])
     def test_wrong_supremum_refused(self, activation, bias, gamma, cause, capsys):
         argv = ["analytic", "--activation", activation, "--bias", bias, "--gamma", gamma]
@@ -304,23 +301,43 @@ class TestExitStatuses:
     # The radius domain scales as gamma, so the scan runs out to r ~ 1e151;
     # its golden-section refinement used to spin once its bracket was a few
     # ulps wide.  ReLU's profile is flat and comes out right; cos's
-    # oscillation cannot be resolved out to |u| ~ 1e302.
-    @pytest.mark.parametrize("activation, status", [("relu", EXIT_OK), ("cos", EXIT_NUMERICAL)])
+    # oscillation cannot be resolved out to |u| ~ 1e302.  With the uniform
+    # phase, S(u + 2 pi) - S(u) rounds away there, and at 1e154 r gamma
+    # overflows; the 2-D ladder took 4 s to refuse 1e150.
+    @pytest.mark.parametrize("activation, bias, gamma, status, cause", [
+        pytest.param("relu", "gaussian:1", "1e150", EXIT_OK, None, id="relu-0"),
+        pytest.param("cos", "gaussian:1", "1e150", EXIT_NUMERICAL,
+                     "1-D quadrature did not converge", id="cos-4"),
+        *(pytest.param("cos", "uniform:0:6.283185307179586", gamma, EXIT_NUMERICAL, cause,
+                       id=f"cos-phase-{gamma}")
+          for gamma, cause in (("1e20", "rounds at"), ("1e150", "rounds at"),
+                               ("1e154", "r * gamma overflows"))),
+    ])
     @pytest.mark.filterwarnings("error")
-    def test_huge_gamma_answers_at_once(self, activation, status, tmp_path, capsys):
+    def test_huge_gamma_answers_at_once(self, activation, bias, gamma, status, cause,
+                                        tmp_path, capsys):
         path = tmp_path / "lip.csv"
         start = time.process_time()
-        code = main(["analytic", "--activation", activation, "--bias", "gaussian:1",
-                     "--gamma", "1e150", "--output", str(path)])
+        code = main(["analytic", "--activation", activation, "--bias", bias,
+                     "--gamma", gamma, "--output", str(path)])
         assert time.process_time() - start < 1.0
         assert code == status
         captured = capsys.readouterr()
         if status == EXIT_OK:
             value = float(path.read_text().splitlines()[1].split(",")[1])
-            assert_allclose(value, 1e150 / np.sqrt(2.0), rtol=1e-12)
+            assert_allclose(value, float(gamma) / np.sqrt(2.0), rtol=1e-12)
         else:
-            assert "1-D quadrature did not converge" in captured.err
+            assert cause in captured.err
             assert "Traceback" not in captured.err
+
+    def test_uniform_bias_on_a_huge_interval(self, tmp_path):
+        # tanh' is 0 in floats at every bias node of the 2-D rule on
+        # [0, 1e300], which printed Lip = 0; nu(0) = gamma^2 (2/3) / 1e300.
+        path = tmp_path / "lip.csv"
+        assert main(["analytic", "--activation", "tanh", "--bias", "uniform:0:1e300",
+                     "--output", str(path)]) == EXIT_OK
+        value = float(path.read_text().splitlines()[1].split(",")[1])
+        assert_allclose(value, np.sqrt(2.0 / 3.0) * 1e-150, rtol=1e-9)
 
     def test_memory_error_status(self, monkeypatch, capsys):
         # Stands in for an allocation numpy refuses, such as --n-list 4294967297.

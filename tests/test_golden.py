@@ -90,10 +90,10 @@ UNIFORM_PHASE = "uniform:0:6.283185307179586"
 
 
 @pytest.mark.parametrize("activation, bias, row", [
-    ("relu", UNIFORM_PHASE, "1.0000000000000002,0,3.3306690738754691e-16"),
+    ("relu", UNIFORM_PHASE, "1,0,2.2204460492503131e-16"),
     ("tanh", "gaussian:1", "0.68147113104537904,0,1.6291563560764059e-16"),
     ("cos", UNIFORM_PHASE,
-     "1.0000000000000033,11.233252373300342,3.3306690738754586e-15"),
+     "1.0000000000000007,3.0025341528929754,1.609823385706476e-15"),
 ])
 def test_analytic_other_settings(activation, bias, row, tmp_path, capsys):
     out = _run(["analytic", "--activation", activation, "--bias", bias],

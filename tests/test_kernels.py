@@ -59,6 +59,18 @@ class TestActivations:
             tol = 1e-6 + act.lipschitz_bound * near_kink
             assert abs(float(act.derivative(u)) - fd) <= tol
 
+    @pytest.mark.parametrize("name", sorted(ACTIVATIONS))
+    def test_slope_sq_integral_matches_finite_differences(self, name):
+        # S(0) = 0 and S' = s'^2, away from the kinks, for scaled_cosine(2) too.
+        for act in (ACTIVATIONS[name](), scaled_cosine(2.0)):
+            integral = act.slope_sq_integral
+            assert float(integral(np.zeros(1))[0]) == 0.0
+            h = 1e-5
+            u = np.random.default_rng(7).uniform(-4, 4, size=200)
+            u = u[np.all(np.abs(u[:, None] - np.array(act.kinks + (np.inf,))) > h, axis=1)]
+            fd = (integral(u + h) - integral(u - h)) / (2 * h)
+            assert_allclose(fd, act.derivative(u) ** 2, atol=1e-6)
+
     def test_derivative_zero_at_kinks(self):
         act = relu()
         assert float(act.derivative(0.0)) == 0.0
