@@ -1,9 +1,10 @@
 """Exact Lipschitz-constant evaluators and independent oracles.
 
 The two closed-form routes are the curvature-profile supremum for
-isotropic-Gaussian random neural networks and the spectral-covariance
-formula for shift-invariant kernels, each paired with finite-difference
-and Monte-Carlo cross-checks.
+isotropic-Gaussian random neural networks, whose profile and its split
+into ``alpha`` and ``beta`` come from one 1-D quadrature, and the
+spectral-covariance formula for shift-invariant kernels, each paired
+with finite-difference and Monte-Carlo cross-checks.
 """
 
 import math
@@ -86,20 +87,22 @@ def _nu_with_error(act: Activation, gamma: float, bias: BiasDistribution,
 
 
 def _profile_1d(act: Activation, gamma: float, bias: BiasDistribution):
-    """``nu`` and its error estimate at an array of radii.
+    """``nu`` and ``alpha`` at an array of radii, as ``(n, 2)`` arrays of
+    their 32- and 16-node values, whose gap is the error estimate.
 
     With bias sd ``sigma``, ``tau = r gamma`` and ``s^2 = tau^2 + sigma^2``,
     a Gaussian or point-mass bias makes ``u = zeta r + b`` ``N(0, s^2)`` with
-    ``E[zeta^2 | u] = gamma^2 (sigma^2 + tau^2 u^2 / s^2) / s^2``, so
-    ``nu(r) = gamma^2 E_u[(sigma^2 + tau^2 u^2 / s^2) s'(u)^2] / s^2``: two
-    Gaussian moments of ``s'^2`` on one :func:`numerics.panel_rule`, whose
-    kinks sit at fixed u for every radius.  A uniform bias on ``(a, c)`` is
-    integrated out exactly: ``E_b[s'(u + b)^2] = D(u) = (S(u + c) - S(u + a))
-    / (c - a)``, with ``S`` the activation's ``slope_sq_integral``, which
-    leaves the point-mass case with ``D`` for ``s'^2`` and kinks moved to
-    ``k - c`` and ``k - a``.  The rule is built once and rebuilt only when
-    a call needs smaller or larger scales.  At ``r = 0`` with no bias
-    spread, ``nu = gamma^2 s'(0)^2`` (or ``gamma^2 D(0)``) exactly.
+    ``E[zeta^2 | u] = gamma^2 (sigma^2 + tau^2 u^2 / s^2) / s^2``, so with
+    ``alpha(r) = E_u[s'(u)^2]``, ``nu(r) = gamma^2 (sigma^2 alpha + tau^2
+    E_u[u^2 s'(u)^2] / s^2) / s^2``: two Gaussian moments of ``s'^2`` on one
+    :func:`numerics.panel_rule`, whose kinks sit at fixed u for every radius.
+    A uniform bias on ``(a, c)`` is integrated out exactly: ``E_b[s'(u +
+    b)^2] = D(u) = (S(u + c) - S(u + a)) / (c - a)``, with ``S`` the
+    activation's ``slope_sq_integral``, which leaves the point-mass case
+    with ``D`` for ``s'^2`` and kinks moved to ``k - c`` and ``k - a``.  The
+    rule is built once and rebuilt only when a call needs smaller or larger
+    scales.  At ``r = 0`` with no bias spread, ``alpha = s'(0)^2`` (or
+    ``D(0)``) and ``nu = gamma^2 alpha`` exactly.
     """
     if bias.family != "uniform":
         sd, kinks, rounding = bias.sd, act.kinks, None
@@ -133,19 +136,18 @@ def _profile_1d(act: Activation, gamma: float, bias: BiasDistribution):
         if not np.all(np.isfinite(scale)):
             raise NumericalFailureError(
                 f"r * gamma overflows at r = {r[~np.isfinite(scale)][0]:.6g}, gamma = {gamma:g}")
-        nu = np.full(r.shape, gamma**2 * float(slope_sq(np.zeros(1))[0]))
-        error = np.zeros(r.shape)
+        alpha = np.full((r.size, 2), float(slope_sq(np.zeros(1))[0]))
+        nu = gamma**2 * alpha
         spread = scale > 0.0
         if spread.any():
             s = scale[spread]
             if s.min() < s_min or s.max() > s_max:
                 s_min, s_max = min(s_min, float(s.min())), max(s_max, float(s.max()))
                 rule = numerics.panel_rule(slope_sq, kinks, s_min, s_max, rounding)
-            m0, m2 = numerics.gaussian_moments(*rule, s)
-            both = gamma**2 * ((sd / s)[:, None] ** 2 * m0 + (tau[spread] / s)[:, None] ** 2 * m2)
-            nu[spread] = both[:, 0]
-            error[spread] = np.abs(both[:, 0] - both[:, 1])
-        return nu, error
+            alpha[spread], m2 = numerics.gaussian_moments(*rule, s)
+            nu[spread] = gamma**2 * ((sd / s)[:, None] ** 2 * alpha[spread]
+                                     + (tau[spread] / s)[:, None] ** 2 * m2)
+        return nu, alpha
 
     return profile
 
@@ -159,6 +161,20 @@ def _converged(value: float, error: float) -> bool:
     return error < numerics.LADDER_RTOL * max(1.0, abs(value))
 
 
+def _nu_alpha(act: Activation, gamma: float, bias: BiasDistribution,
+              r: float) -> tuple[float, float]:
+    """Checked ``nu(r)`` and ``alpha(r)`` on the 1-D route; see :func:`nu_function`."""
+    if not (kernels._normal_square(gamma) and 0 <= r < math.inf):
+        raise InvalidArgumentError("need finite gamma > 0 with gamma**2 a normal float and "
+                                   f"finite r >= 0, got gamma={gamma}, r={r}")
+    moments = _profile_1d(act, gamma, bias)(np.array([float(r)]))
+    for name, ((value, coarse),) in zip(("nu", "alpha"), moments):
+        if not _converged(value, abs(value - coarse)):
+            raise NumericalFailureError(f"the 1-D quadrature did not converge at r = {r:g} "
+                                        f"({name} error {abs(value - coarse):.3g})")
+    return tuple(float(m[0, 0]) for m in moments)
+
+
 def nu_function(act: Activation, gamma: float, bias: BiasDistribution,
                 r: float) -> float:
     """Curvature profile ``nu(r) = E[zeta^2 s'(zeta r + b)^2]``.
@@ -166,17 +182,11 @@ def nu_function(act: Activation, gamma: float, bias: BiasDistribution,
     ``zeta ~ N(0, gamma^2)`` independent of ``b``.  The supremum of
     ``sqrt(nu)`` over ``r = ||x||`` is the feature-map Lipschitz constant
     for isotropic Gaussian weights.  It takes the 1-D route of
-    :func:`rnn_lipschitz`, which raises :class:`NumericalFailureError`
-    when its two panel orders disagree.
+    :func:`rnn_lipschitz` and raises :class:`NumericalFailureError` when the
+    two panel orders of ``nu``, or of the ``alpha`` of :func:`alpha_beta`
+    on the same rule, disagree.
     """
-    if not (kernels._normal_square(gamma) and 0 <= r < math.inf):
-        raise InvalidArgumentError("need finite gamma > 0 with gamma**2 a normal float and "
-                                   f"finite r >= 0, got gamma={gamma}, r={r}")
-    (value,), (error,) = _profile_1d(act, gamma, bias)(np.array([float(r)]))
-    if not _converged(value, error):
-        raise NumericalFailureError(
-            f"the 1-D quadrature did not converge at r = {r:g} (error {error:.3g})")
-    return float(value)
+    return _nu_alpha(act, gamma, bias, r)[0]
 
 
 def default_r_domain(gamma: float, bias: BiasDistribution) -> tuple[float, float]:
@@ -189,20 +199,18 @@ def default_r_domain(gamma: float, bias: BiasDistribution) -> tuple[float, float
     return (0.0, 10.0 * gamma * (1.0 + bias.sd))
 
 
-def _scan(evaluate, domain: tuple[float, float], tol: float):
-    """:func:`numerics.maximize_scalar` over ``evaluate``, which maps an
-    array of radii to arrays of ``nu`` and its error estimate.
-
-    Returns the result and every radius the scan evaluated, with its value
-    and error; every argmax candidate is one of them.
+def _scan(profile, domain: tuple[float, float], tol: float):
+    """:func:`numerics.maximize_scalar` over the ``nu`` of a :func:`_profile_1d`
+    profile.  Returns the result and every radius the scan evaluated, with
+    its ``nu`` panel pair; every argmax candidate is one of them.
     """
     calls = []
 
     def nu_at(r):
         radii = np.atleast_1d(np.asarray(r, dtype=float))
-        values, errors = evaluate(radii)
-        calls.append((radii, values, errors))
-        return values if np.ndim(r) else float(values[0])
+        nu, _ = profile(radii)
+        calls.append((radii, nu))
+        return nu[:, 0] if np.ndim(r) else float(nu[0, 0])
 
     result = numerics.maximize_scalar(nu_at, domain, tol)
     return (result, *(np.concatenate(arrays) for arrays in zip(*calls)))
@@ -247,7 +255,8 @@ def rnn_lipschitz(act: Activation, gamma: float, bias: BiasDistribution,
     if not (0 <= r_min < r_max):
         raise InvalidArgumentError(f"need 0 <= r_min < r_max, got {r_domain}")
 
-    result, radii, values, errors = _scan(_profile_1d(act, gamma, bias), (r_min, r_max), tol)
+    result, radii, pairs = _scan(_profile_1d(act, gamma, bias), (r_min, r_max), tol)
+    values, errors = pairs[:, 0], np.abs(pairs[:, 0] - pairs[:, 1])
     best = int(np.flatnonzero(radii == result.argmax)[0])
     nu_max, quad_err = float(values[best]), float(errors[best])
     law = ":".join([bias.family, *(f"{p:g}" for p in bias.params)])
@@ -283,20 +292,11 @@ def rnn_lipschitz(act: Activation, gamma: float, bias: BiasDistribution,
 
 def alpha_beta(act: Activation, gamma: float, bias: BiasDistribution,
                a: float) -> tuple[float, float]:
-    """Quadrature values of ``alpha(a) = E[s'(a zeta + b)^2]`` and
-    ``beta(a) = E[(zeta^2 - gamma^2) s'(a zeta + b)^2]``.
-
-    These split the directional derivative's second moment into a radial
-    and an isotropic part; ``gamma^2 alpha + beta = nu``.
-    """
-    kinks = _kink_locator(act, a)
-    alpha, _ = numerics.expectation_2d_adaptive(
-        lambda zeta, b: act.derivative(zeta * a + b) ** 2,
-        gamma, bias, kinks)
-    beta, _ = numerics.expectation_2d_adaptive(
-        lambda zeta, b: (zeta**2 - gamma**2) * act.derivative(zeta * a + b) ** 2,
-        gamma, bias, kinks)
-    return alpha, beta
+    """The isotropic and radial parts of ``nu = gamma^2 alpha + beta``, on the checked
+    1-D route of :func:`nu_function`: ``alpha(a) = E[s'(a zeta + b)^2]`` is a moment it
+    takes, and ``beta(a) = E[(zeta^2 - gamma^2) s'(a zeta + b)^2]`` is ``nu - gamma^2 alpha``."""
+    nu, alpha = _nu_alpha(act, gamma, bias, a)
+    return alpha, nu - gamma**2 * alpha
 
 
 @dataclass(frozen=True)
@@ -330,10 +330,10 @@ def variance_decomposition_check(act: Activation, gamma: float,
     The left side is estimated by Monte Carlo over ``w ~ N(0, gamma^2 I)``
     and the bias law; the right side is
     ``(x^T z)^2 / ||x||^2 * beta(||x||) + ||z||^2 gamma^2 alpha(||x||)``
-    computed by quadrature.  The samples come in chunks of 10^6, each
-    seeded from ``seed`` and its index, and each chunk is drawn and summed
-    in blocks of at most 4,096 rows.  The chunks run on every usable core,
-    and the result is bit-identical at any core count.
+    from the 1-D quadrature of :func:`alpha_beta`.  The samples come in
+    chunks of 10^6, each seeded from ``seed`` and its index, and each chunk
+    is drawn and summed in blocks of at most 4,096 rows.  The chunks run on
+    every usable core, and the result is bit-identical at any core count.
     """
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)

@@ -171,7 +171,7 @@ def expectation_2d_adaptive(f, gamma: float, bias, zeta_kinks=None,
 
 def _panel_edges(s_min: float, extent: float, kinks) -> np.ndarray:
     """Sorted panel edges on ``[-extent, extent]``, rounded out to an edge."""
-    if not (np.isfinite(extent) and s_min > 0.0):
+    if not (np.isfinite(extent) and s_min >= np.finfo(float).tiny):  # 0.5 / s_min is finite
         raise NumericalFailureError(
             f"no u-panels reach from scale {s_min:.3g} out to |u| = {extent:.3g}")
     levels = max(0, int(np.ceil(np.log2(_PANEL_WIDTH / s_min))))

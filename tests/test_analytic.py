@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 import time
 import tracemalloc
 
@@ -188,20 +189,24 @@ class TestRnnLipschitz:
             rnn_lipschitz(relu(), gamma, STD_GAUSSIAN_BIAS)
 
 
-def _tanh_nu_quad(gamma, sd, r):
-    """``nu(r)`` for tanh as one ``quad`` over ``u = r zeta + b ~ N(0, v)``."""
+def _tanh_u_moment(weight, v):
+    """``E_u[weight(u) sech(u)^4]`` for ``u ~ N(0, v)``, as one ``quad``."""
     from scipy import integrate
 
-    v = (r * gamma) ** 2 + sd**2
-
     def integrand(u):
-        conditional = gamma**2 - (r * gamma**2) ** 2 / v + (r * gamma**2 * u / v) ** 2
         sech = 2.0 / (math.exp(u) + math.exp(-u))
-        return conditional * math.exp(-0.5 * u * u / v) / math.sqrt(2.0 * math.pi * v) * sech**4
+        return weight(u) * math.exp(-0.5 * u * u / v) / math.sqrt(2.0 * math.pi * v) * sech**4
 
     # sech(u)^4 < 1e-68 beyond |u| = 40.
     return sum(integrate.quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
                for lo, hi in ((-40.0, 0.0), (0.0, 40.0)))
+
+
+def _tanh_nu_quad(gamma, sd, r):
+    """``nu(r)`` for tanh over ``u = r zeta + b ~ N(0, v)``."""
+    v = (r * gamma) ** 2 + sd**2
+    return _tanh_u_moment(
+        lambda u: gamma**2 - (r * gamma**2) ** 2 / v + (r * gamma**2 * u / v) ** 2, v)
 
 
 class TestOneDimensionalRoute:
@@ -242,6 +247,11 @@ class TestOneDimensionalRoute:
         with pytest.raises(NumericalFailureError, match="1-D quadrature did not converge"):
             nu_function(scaled_cosine(), 1.0, STD_GAUSSIAN_BIAS, 1e150)
 
+    def test_subnormal_scale_refused(self):
+        # No panels halve down to a scale whose reciprocal overflows.
+        with pytest.raises(NumericalFailureError, match="no u-panels reach from scale"):
+            nu_function(scaled_cosine(), 1.0, BiasDistribution.point_mass(), 2.2e-313)
+
     def test_certificate_ladder_must_converge(self, monkeypatch):
         monkeypatch.setattr(analytic, "_nu_with_error", lambda act, g, b, r: (0.5, 1e-3))
         with pytest.raises(NumericalFailureError, match="certificate's quadrature ladder"):
@@ -260,8 +270,9 @@ class TestOneDimensionalRoute:
             inner = profile(act, gamma, bias)
 
             def evaluate(r):
-                nu, error = inner(r)
-                return nu, np.where(np.isclose(r, 7.0, atol=0.02), 1e-3, error)
+                nu, alpha = inner(r)
+                nu[:, 1] += np.where(np.isclose(r, 7.0, atol=0.02), 1e-3, 0.0)
+                return nu, alpha
             return evaluate
 
         monkeypatch.setattr(analytic, "_profile_1d", noisy)
@@ -471,12 +482,102 @@ class TestVarianceDecomposition:
             variance_decomposition_check(relu(), 1.0, STD_GAUSSIAN_BIAS,
                                          np.array([np.nan, 1.0]), np.ones(2), 100, 0)
 
-    def test_alpha_beta_sum_to_nu(self):
-        # gamma^2 alpha(a) + beta(a) = nu(a) by construction.
-        act, gamma, a = relu(), 1.3, 0.8
-        alpha, beta = alpha_beta(act, gamma, STD_GAUSSIAN_BIAS, a)
-        nu = nu_function(act, gamma, STD_GAUSSIAN_BIAS, a)
-        assert_allclose(gamma**2 * alpha + beta, nu, rtol=1e-8)
+    # The 2-D ladder's alpha was 78% low here, for a z-score of 106.
+    def test_tanh_far_out(self):
+        check = variance_decomposition_check(tanh_activation(), 1.0, STD_GAUSSIAN_BIAS,
+                                             np.array([28.0, 0.0]), np.array([0.0, 1.0]),
+                                             mc_samples=2 * 10**6, seed=1)
+        assert abs(check.lhs - check.rhs) <= 5 * check.lhs_stderr
+
+    def test_no_two_dimensional_quadrature(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the 2-D quadrature was called")
+
+        monkeypatch.setattr(numerics, "expectation_2d", refuse)
+        monkeypatch.setattr(numerics, "expectation_2d_adaptive", refuse)
+        for act, bias in ((relu(), STD_GAUSSIAN_BIAS), (tanh_activation(), STD_GAUSSIAN_BIAS),
+                          (scaled_cosine(), UNIFORM_PHASE)):
+            variance_decomposition_check(act, 1.0, bias, np.array([0.6, 0.8]),
+                                         np.array([1.0, -0.3]), mc_samples=100, seed=0)
+
+
+def _tanh_alpha_beta_quad(gamma, sd, a):
+    """``alpha(a)`` and ``beta(a)`` for tanh over ``u = a zeta + b ~ N(0, v)``,
+    with ``E[zeta^2 - gamma^2 | u] = a^2 gamma^4 (u^2 / v - 1) / v``."""
+    v = (a * gamma) ** 2 + sd**2
+    return (_tanh_u_moment(lambda u: 1.0, v),
+            _tanh_u_moment(lambda u: (a * gamma**2) ** 2 * (u * u / v - 1.0) / v, v))
+
+
+class TestAlphaBeta:
+    """``alpha`` and ``beta`` on the 1-D route against ``quad`` and closed forms."""
+
+    # The 2-D ladder's alpha was 10% low at a = 15 and 78% low at a = 28.
+    @pytest.mark.parametrize("a", [0.5, 5.0, 15.0, 28.0])
+    def test_tanh_matches_quad(self, a):
+        alpha, beta = alpha_beta(tanh_activation(), 1.0, STD_GAUSSIAN_BIAS, a)
+        expected = _tanh_alpha_beta_quad(1.0, 1.0, a)
+        assert_allclose((alpha, beta), expected, rtol=1e-10)
+
+    @pytest.mark.parametrize("a", [0.0, 0.8, 5.0])
+    def test_relu(self, a):
+        # u ~ N(0, v) is symmetric, so alpha = P(u > 0) = 1/2, and the
+        # conditional weight of beta averages to 0 on each half line.
+        alpha, beta = alpha_beta(relu(), 1.3, STD_GAUSSIAN_BIAS, a)
+        assert_allclose((alpha, beta), (0.5, 0.0), rtol=0.0, atol=1e-12)
+
+    # With m = E cos 2b and tau = a gamma, s'(u)^2 = 1 - cos 2u gives
+    # alpha = 1 - m exp(-2 tau^2) and beta = 4 gamma^2 m tau^2 exp(-2 tau^2).
+    @given(gamma=st.floats(0.3, 3.0), a=st.floats(0.0, 30.0),
+           family=st.sampled_from(["gaussian", "point", "uniform"]),
+           p=st.floats(-4.0, 4.0), q=st.floats(-4.0, 4.0))
+    @example(gamma=3.0, a=5.0, family="point", p=0.0, q=0.0)  # the 2-D ladder was 54% off
+    @example(gamma=1.0, a=2.2250738585e-313, family="point", p=0.0, q=0.0)
+    @settings(max_examples=40, deadline=None)
+    def test_cos_closed_form(self, gamma, a, family, p, q):
+        if family == "gaussian":
+            assume(0.1 <= abs(p))
+            bias, mean_cos = BiasDistribution.gaussian(abs(p)), math.exp(-2.0 * p * p)
+        elif family == "point":
+            bias, mean_cos = BiasDistribution.point_mass(), 1.0
+        else:
+            assume(0.1 <= q - p)
+            bias = BiasDistribution.uniform(p, q)
+            mean_cos = (math.sin(2.0 * q) - math.sin(2.0 * p)) / (2.0 * (q - p))
+        if family != "gaussian" and 0.0 < a * gamma < sys.float_info.min:
+            # With no bias spread the scale is a gamma; 0.5 / scale overflows.
+            with pytest.raises(NumericalFailureError, match="no u-panels reach"):
+                alpha_beta(scaled_cosine(), gamma, bias, a)
+            return
+        alpha, beta = alpha_beta(scaled_cosine(), gamma, bias, a)
+        decay = mean_cos * math.exp(-2.0 * (a * gamma) ** 2)
+        assert_allclose(alpha, 1.0 - decay, rtol=0.0, atol=1e-12)
+        assert_allclose(beta / gamma**2, 4.0 * (a * gamma) ** 2 * decay, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("gamma, a", [(1.0, math.nan), (1.0, math.inf), (1.0, -1.0),
+                                          (math.nan, 1.0), (math.inf, 1.0), (0.0, 1.0),
+                                          (-1.0, 1.0), (1e300, 1.0), (1e-200, 1.0)])
+    def test_bad_input_rejected(self, gamma, a):
+        with pytest.raises(InvalidArgumentError):
+            alpha_beta(tanh_activation(), gamma, STD_GAUSSIAN_BIAS, a)
+
+    # beta = nu - gamma^2 alpha is not checked on its own: ReLU's is exactly 0.
+    @pytest.mark.parametrize("moment", ["nu", "alpha"])
+    def test_unconverged_refused(self, monkeypatch, moment):
+        profile = analytic._profile_1d
+
+        def noisy(act, gamma, bias):
+            inner = profile(act, gamma, bias)
+
+            def evaluate(r):
+                nu, alpha = inner(r)
+                (nu if moment == "nu" else alpha)[:, 1] += 1e-3
+                return nu, alpha
+            return evaluate
+
+        monkeypatch.setattr(analytic, "_profile_1d", noisy)
+        with pytest.raises(NumericalFailureError, match=f"did not converge at r = 0.8 \\({moment}"):
+            alpha_beta(relu(), 1.0, STD_GAUSSIAN_BIAS, 0.8)
 
 
 class TestShiftInvariantLipschitz:
