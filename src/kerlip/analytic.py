@@ -35,7 +35,6 @@ from .kernels import (
 __all__ = [
     "LipschitzReport",
     "nu_function",
-    "default_r_domain",
     "rnn_lipschitz",
     "VarianceCheck",
     "variance_decomposition_check",
@@ -78,31 +77,32 @@ def _kink_locator(act: Activation, r: float):
     return lambda b: (kinks - b) / r
 
 
-def _nu_with_error(act: Activation, gamma: float, bias: BiasDistribution,
-                   r: float) -> tuple[float, float]:
+def _nu_with_error(act: Activation, bias: BiasDistribution, tau: float) -> tuple[float, float]:
+    """``g(tau)`` of :func:`_profile_1d` on the 2-D ladder: ``nu(tau)`` at ``gamma = 1``."""
     def f(zeta, b):
-        return zeta**2 * act.derivative(zeta * r + b) ** 2
+        return zeta**2 * act.derivative(zeta * tau + b) ** 2
 
-    return numerics.expectation_2d_adaptive(f, gamma, bias, _kink_locator(act, r))
+    return numerics.expectation_2d_adaptive(f, 1.0, bias, _kink_locator(act, tau))
 
 
-def _profile_1d(act: Activation, gamma: float, bias: BiasDistribution):
-    """``nu`` and ``alpha`` at an array of radii, as ``(n, 2)`` arrays of
-    their 32- and 16-node values, whose gap is the error estimate.
+def _profile_1d(act: Activation, bias: BiasDistribution):
+    """The gamma-free profiles ``g(tau) = E[t^2 s'(tau t + b)^2]`` and ``alpha(tau)
+    = E[s'(tau t + b)^2]``, ``t ~ N(0, 1)``, at an array of ``tau``, as ``(n, 2)``
+    arrays of their 32- and 16-node values, whose gap is the error estimate.
 
-    With bias sd ``sigma``, ``tau = r gamma`` and ``s^2 = tau^2 + sigma^2``,
-    a Gaussian or point-mass bias makes ``u = zeta r + b`` ``N(0, s^2)`` with
-    ``E[zeta^2 | u] = gamma^2 (sigma^2 + tau^2 u^2 / s^2) / s^2``, so with
-    ``alpha(r) = E_u[s'(u)^2]``, ``nu(r) = gamma^2 (sigma^2 alpha + tau^2
+    With ``zeta = gamma t``, ``nu(r) = gamma^2 g(r gamma)``.  With bias sd
+    ``sigma`` and ``s^2 = tau^2 + sigma^2``, a Gaussian or point-mass bias makes
+    ``u = tau t + b`` ``N(0, s^2)`` with ``E[t^2 | u] = (sigma^2 + tau^2 u^2 /
+    s^2) / s^2``, so with ``alpha = E_u[s'(u)^2]``, ``g = (sigma^2 alpha + tau^2
     E_u[u^2 s'(u)^2] / s^2) / s^2``: two Gaussian moments of ``s'^2`` on one
-    :func:`numerics.panel_rule`, whose kinks sit at fixed u for every radius.
+    :func:`numerics.panel_rule`, whose kinks sit at fixed u for every ``tau``.
     A uniform bias on ``(a, c)`` is integrated out exactly: ``E_b[s'(u +
     b)^2] = D(u) = (S(u + c) - S(u + a)) / (c - a)``, with ``S`` the
     activation's ``slope_sq_integral``, which leaves the point-mass case
     with ``D`` for ``s'^2`` and kinks moved to ``k - c`` and ``k - a``.  The
     rule is built once and rebuilt only when a call needs smaller or larger
-    scales.  At ``r = 0`` with no bias spread, ``alpha = s'(0)^2`` (or
-    ``D(0)``) and ``nu = gamma^2 alpha`` exactly.
+    scales.  At ``tau = 0`` with no bias spread, ``g = alpha = s'(0)^2`` (or
+    ``D(0)``) exactly.
     """
     if bias.family != "uniform":
         sd, kinks, rounding = bias.sd, act.kinks, None
@@ -128,16 +128,12 @@ def _profile_1d(act: Activation, gamma: float, bias: BiasDistribution):
 
     s_min, s_max, rule = math.inf, 0.0, None
 
-    def profile(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def profile(tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         nonlocal s_min, s_max, rule
+        g = np.full((tau.size, 2), float(slope_sq(np.zeros(1))[0]))
+        alpha = g.copy()
         with np.errstate(over="ignore"):
-            tau = r * gamma
             scale = np.hypot(tau, sd)
-        if not np.all(np.isfinite(scale)):
-            raise NumericalFailureError(
-                f"r * gamma overflows at r = {r[~np.isfinite(scale)][0]:.6g}, gamma = {gamma:g}")
-        alpha = np.full((r.size, 2), float(slope_sq(np.zeros(1))[0]))
-        nu = gamma**2 * alpha
         spread = scale > 0.0
         if spread.any():
             s = scale[spread]
@@ -145,20 +141,24 @@ def _profile_1d(act: Activation, gamma: float, bias: BiasDistribution):
                 s_min, s_max = min(s_min, float(s.min())), max(s_max, float(s.max()))
                 rule = numerics.panel_rule(slope_sq, kinks, s_min, s_max, rounding)
             alpha[spread], m2 = numerics.gaussian_moments(*rule, s)
-            nu[spread] = gamma**2 * ((sd / s)[:, None] ** 2 * alpha[spread]
-                                     + (tau[spread] / s)[:, None] ** 2 * m2)
-        return nu, alpha
+            g[spread] = ((sd / s)[:, None] ** 2 * alpha[spread]
+                         + (tau[spread] / s)[:, None] ** 2 * m2)
+        return g, alpha
 
     return profile
 
 
 def _converged(value: float, error: float) -> bool:
-    """Whether an error estimate is below ``LADDER_RTOL max(1, |value|)``.
-
-    A relative bound keeps the test meaningful for any gamma, since
-    ``nu`` scales as ``gamma^2``.
-    """
+    """Whether ``error < LADDER_RTOL max(1, |value|)``, for a gamma-free ``value``."""
     return error < numerics.LADDER_RTOL * max(1.0, abs(value))
+
+
+def _tau(r: float, gamma: float) -> float:
+    """``tau = r gamma``, or :class:`NumericalFailureError` when it overflows."""
+    tau = float(r) * float(gamma)
+    if not math.isfinite(tau):
+        raise NumericalFailureError(f"r * gamma overflows at r = {r:.6g}, gamma = {gamma:g}")
+    return tau
 
 
 def _nu_alpha(act: Activation, gamma: float, bias: BiasDistribution,
@@ -167,12 +167,12 @@ def _nu_alpha(act: Activation, gamma: float, bias: BiasDistribution,
     if not (kernels._normal_square(gamma) and 0 <= r < math.inf):
         raise InvalidArgumentError("need finite gamma > 0 with gamma**2 a normal float and "
                                    f"finite r >= 0, got gamma={gamma}, r={r}")
-    moments = _profile_1d(act, gamma, bias)(np.array([float(r)]))
+    moments = _profile_1d(act, bias)(np.array([_tau(r, gamma)]))
     for name, ((value, coarse),) in zip(("nu", "alpha"), moments):
         if not _converged(value, abs(value - coarse)):
             raise NumericalFailureError(f"the 1-D quadrature did not converge at r = {r:g} "
                                         f"({name} error {abs(value - coarse):.3g})")
-    return tuple(float(m[0, 0]) for m in moments)
+    return gamma**2 * float(moments[0][0, 0]), float(moments[1][0, 0])
 
 
 def nu_function(act: Activation, gamma: float, bias: BiasDistribution,
@@ -181,39 +181,12 @@ def nu_function(act: Activation, gamma: float, bias: BiasDistribution,
 
     ``zeta ~ N(0, gamma^2)`` independent of ``b``.  The supremum of
     ``sqrt(nu)`` over ``r = ||x||`` is the feature-map Lipschitz constant
-    for isotropic Gaussian weights.  It takes the 1-D route of
-    :func:`rnn_lipschitz` and raises :class:`NumericalFailureError` when the
-    two panel orders of ``nu``, or of the ``alpha`` of :func:`alpha_beta`
-    on the same rule, disagree.
+    for isotropic Gaussian weights.  It is ``gamma^2 g(r gamma)``, on the
+    gamma-free 1-D route of :func:`rnn_lipschitz`, and raises
+    :class:`NumericalFailureError` when ``r gamma`` overflows, or when the two
+    panel orders of ``g``, or of the ``alpha`` of :func:`alpha_beta`, disagree.
     """
     return _nu_alpha(act, gamma, bias, r)[0]
-
-
-def default_r_domain(gamma: float, bias: BiasDistribution) -> tuple[float, float]:
-    """Default search interval for the radius supremum.
-
-    The closed-form examples are independent of ``r``; the width scales
-    with the weight and bias spreads so that preactivation statistics are
-    fully explored.
-    """
-    return (0.0, 10.0 * gamma * (1.0 + bias.sd))
-
-
-def _scan(profile, domain: tuple[float, float], tol: float):
-    """:func:`numerics.maximize_scalar` over the ``nu`` of a :func:`_profile_1d`
-    profile.  Returns the result and every radius the scan evaluated, with
-    its ``nu`` panel pair; every argmax candidate is one of them.
-    """
-    calls = []
-
-    def nu_at(r):
-        radii = np.atleast_1d(np.asarray(r, dtype=float))
-        nu, _ = profile(radii)
-        calls.append((radii, nu))
-        return nu[:, 0] if np.ndim(r) else float(nu[0, 0])
-
-    result = numerics.maximize_scalar(nu_at, domain, tol)
-    return (result, *(np.concatenate(arrays) for arrays in zip(*calls)))
 
 
 def rnn_lipschitz(act: Activation, gamma: float, bias: BiasDistribution,
@@ -227,18 +200,21 @@ def rnn_lipschitz(act: Activation, gamma: float, bias: BiasDistribution,
     continuous); otherwise the directional-derivative formula is not
     guaranteed to hold and a :class:`HypothesisViolationError` is raised.
 
-    The scan evaluates ``nu`` on one vectorised 1-D quadrature (see
-    ``_profile_1d``), and the 2-D quadrature ladder, which shares no code
-    with it, certifies the value at the argmax.  A
-    :class:`NumericalFailureError` is raised when the 1-D error estimate
-    at any scanned radius, the ladder's at the argmax, or the gap between
-    the two routes there is not below ``LADDER_RTOL max(1, nu)``, and, on
-    the default domain, when the scan's best grid point is the domain's
-    last one, since the supremum may then lie beyond it.  The error
-    estimate is the larger of the 1-D estimate and that gap, on the scale
-    of the constant.  A uniform bias needs the activation's
-    ``slope_sq_integral`` and raises :class:`UnsupportedDistributionError`
-    without it.
+    As ``nu(r) = gamma^2 g(r gamma)`` (see ``_profile_1d``), the constant is
+    ``gamma sup sqrt(g(tau))``, from one :func:`numerics.maximize_scalar` scan
+    of ``tau = r gamma`` over ``[0, 10 (1 + bias sd)]``, or over ``gamma
+    r_domain``; ``tol`` is in ``tau``.  The 2-D quadrature ladder at ``gamma =
+    1``, which shares no code with the 1-D route, certifies ``g`` at the
+    argmax.  A :class:`NumericalFailureError` is raised when ``gamma
+    r_domain`` overflows; when the 1-D error estimate at any scanned ``tau``,
+    the ladder's at the argmax, or the gap between the routes there is not
+    below ``LADDER_RTOL max(1, g)``; and, on the default domain, when the
+    best grid point is the last one, since the supremum may lie beyond it.
+    No test depends on gamma, so the value scales with gamma to one rounding.
+    ``argmax_r`` is ``tau / gamma``, clipped into a given domain; the error
+    estimate is the larger of the 1-D estimate and that gap, on the scale of
+    the constant.  A uniform bias needs the activation's ``slope_sq_integral``
+    and raises :class:`UnsupportedDistributionError` without it.
     """
     if not kernels._normal_square(gamma):
         raise InvalidArgumentError(
@@ -248,46 +224,60 @@ def rnn_lipschitz(act: Activation, gamma: float, bias: BiasDistribution,
             "activation has non-differentiable points and the bias law is not "
             "absolutely continuous; need a differentiable activation or an "
             "absolutely continuous weight/bias law")
-    default_domain = r_domain is None
-    if default_domain:
-        r_domain = default_r_domain(gamma, bias)
-    r_min, r_max = r_domain
-    if not (0 <= r_min < r_max):
-        raise InvalidArgumentError(f"need 0 <= r_min < r_max, got {r_domain}")
+    if r_domain is None:
+        tau_domain = (0.0, 10.0 * (1.0 + bias.sd))
+    else:
+        r_min, r_max = map(float, r_domain)
+        if not (0 <= r_min < r_max < math.inf):
+            raise InvalidArgumentError(f"need 0 <= r_min < r_max < inf, got {r_domain}")
+        tau_domain = (_tau(r_min, gamma), _tau(r_max, gamma))
 
-    result, radii, pairs = _scan(_profile_1d(act, gamma, bias), (r_min, r_max), tol)
+    profile, calls = _profile_1d(act, bias), []
+
+    def g_at(tau):
+        taus = np.atleast_1d(np.asarray(tau, dtype=float))
+        g = profile(taus)[0]
+        calls.append((taus, g))  # every argmax candidate is recorded
+        return g[:, 0] if np.ndim(tau) else float(g[0, 0])
+
+    result = numerics.maximize_scalar(g_at, tau_domain, tol)
+    taus, pairs = (np.concatenate(arrays) for arrays in zip(*calls))
     values, errors = pairs[:, 0], np.abs(pairs[:, 0] - pairs[:, 1])
-    best = int(np.flatnonzero(radii == result.argmax)[0])
-    nu_max, quad_err = float(values[best]), float(errors[best])
+    best = int(np.flatnonzero(taus == result.argmax)[0])
+    g_max, quad_err = float(values[best]), float(errors[best])
+    argmax = result.argmax / gamma
+    if r_domain is not None:
+        # The given domain's end reads back exactly.
+        argmax = r_max if result.argmax == tau_domain[1] else min(max(argmax, r_min), r_max)
     law = ":".join([bias.family, *(f"{p:g}" for p in bias.params)])
-    setting = f"gamma = {gamma:g}, bias {law}, argmax r = {result.argmax:.6g}"
+    setting = f"gamma = {gamma:g}, bias {law}, argmax r = {argmax:.6g}"
     worst = int(np.argmax(errors / np.maximum(1.0, np.abs(values))))
     if not _converged(values[worst], errors[worst]):
         raise NumericalFailureError(
-            f"the 1-D quadrature did not converge at r = {radii[worst]:.6g} ({setting}, "
-            f"error {errors[worst]:.3g} against nu = {values[worst]:.6g})")
-    certificate, ladder_err = _nu_with_error(act, gamma, bias, result.argmax)
+            f"the 1-D quadrature did not converge at r = {taus[worst] / gamma:.6g} ({setting}, "
+            f"error {errors[worst]:.3g} against nu / gamma^2 = {values[worst]:.6g})")
+    certificate, ladder_err = _nu_with_error(act, bias, result.argmax)
     if not _converged(certificate, ladder_err):
         raise NumericalFailureError(
             f"the certificate's quadrature ladder did not converge at the supremum "
             f"({setting}, error {ladder_err:.3g})")
-    gap = abs(certificate - nu_max)
-    if not _converged(nu_max, gap):
+    gap = abs(certificate - g_max)
+    if not _converged(g_max, gap):
         raise NumericalFailureError(
             f"the 1-D quadrature and its 2-D certificate differ at the supremum "
-            f"({setting}, error {gap:.3g}: nu = {nu_max:.17g} against {certificate:.17g})")
+            f"({setting}, error {gap:.3g}: nu / gamma^2 = {g_max:.17g} against {certificate:.17g})")
     quad_err = max(quad_err, gap)
     # The bracket starts one grid point below the best one, so the best is
     # the last grid point exactly when the bracket starts at the second-last.
-    second_last = np.linspace(r_min, r_max, numerics.DEFAULT_SCAN_POINTS)[-2]
-    if default_domain and result.bracket[0] == second_last:
+    second_last = np.linspace(*tau_domain, numerics.DEFAULT_SCAN_POINTS)[-2]
+    if r_domain is None and result.bracket[0] == second_last:
         raise NumericalFailureError(
-            f"the radius supremum sits at the end of the default search domain "
-            f"[{r_min:g}, {r_max:g}] and may lie beyond it ({setting}, error {quad_err:.3g})")
-    value = math.sqrt(max(nu_max, 0.0))
-    err = quad_err / (2.0 * value) if value > 0 else quad_err
-    return LipschitzReport(value=value, method="thm34-quadrature",
-                           argmax_r=result.argmax, error_estimate=err)
+            f"the radius supremum sits at the end of the default search domain r <= "
+            f"{tau_domain[1]:g} / gamma and may lie beyond it ({setting}, error {quad_err:.3g})")
+    root = math.sqrt(max(g_max, 0.0))
+    err = quad_err / (2.0 * root) if root > 0 else quad_err
+    return LipschitzReport(value=gamma * root, method="thm34-quadrature",
+                           argmax_r=argmax, error_estimate=gamma * err)
 
 
 def alpha_beta(act: Activation, gamma: float, bias: BiasDistribution,

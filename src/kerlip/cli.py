@@ -91,7 +91,7 @@ _FLAG_OPTIONS = {
     "kernel": dict(choices=("gaussian", "matern", "laplace")),
     "sigma": dict(help="identity | diag:a,b,... | file:PATH"),
     "n_list": dict(help="comma-separated feature counts"),
-    "r_max": dict(help="radius search bound; 0 selects the default domain"),
+    "r_max": dict(help="radius search bound; 0 selects r <= 10 (1 + bias sd) / gamma"),
     "grid_points": dict(help="target size of the dim >= 2 grid; dim 1 always "
                              "uses the 99-point grid"),
     "output": dict(metavar="PATH"),

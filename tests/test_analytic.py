@@ -17,7 +17,6 @@ from kerlip.analytic import (
     CSV_HEADER,
     LipschitzReport,
     alpha_beta,
-    default_r_domain,
     diagonal_curvature_oracle,
     hessian_lipschitz_oracle,
     nu_function,
@@ -35,6 +34,7 @@ from kerlip.errors import (
     UnsupportedDistributionError,
 )
 from kerlip.kernels import (
+    Activation,
     BiasDistribution,
     WeightDistribution,
     derive_seed,
@@ -50,6 +50,13 @@ from kerlip.kernels import (
 
 UNIFORM_PHASE = BiasDistribution.uniform(0.0, 2 * np.pi)
 STD_GAUSSIAN_BIAS = BiasDistribution.gaussian(1.0)
+
+# The activations and bias laws of the refusal scan over gamma.
+SCAN_ACTIVATIONS = {"relu": relu, "tanh": tanh_activation, "cos": scaled_cosine,
+                    "identity": identity}
+SCAN_BIASES = {"N(0, 1)": STD_GAUSSIAN_BIAS, "N(0, 9)": BiasDistribution.gaussian(3.0),
+               "point": BiasDistribution.point_mass(),
+               "U(-1, 2)": BiasDistribution.uniform(-1.0, 2.0), "phase": UNIFORM_PHASE}
 
 # Frozen Monte-Carlo oracle for the tanh profile (no closed form): sup of
 # nu over a 64-point grid on [0, 10], 1e7 samples per grid point, master
@@ -110,11 +117,51 @@ class TestRnnLipschitz:
                                r_domain=(0.0, 10.0))
         assert abs(report.value - TANH_LIP_ORACLE) <= 3 * TANH_LIP_ORACLE_STDERR
 
-    @pytest.mark.parametrize("c", [0.5, 2.0, 3.7])
-    def test_scale_equivariance(self, c):
-        base = rnn_lipschitz(scaled_cosine(), 1.0, UNIFORM_PHASE).value
-        scaled = rnn_lipschitz(scaled_cosine(), c, UNIFORM_PHASE).value
-        assert_allclose(scaled, c * base, rtol=1e-6)
+    # nu(r) = gamma^2 g(r gamma) and the supremum is taken over tau = r gamma,
+    # so every verdict is gamma's, the constant scales as gamma and argmax_r
+    # as 1 / gamma.  cos with N(0, 9) moved by 3.4e-9 relative over gamma when
+    # the search domain scaled with gamma.
+    @given(act=st.sampled_from(sorted(SCAN_ACTIVATIONS)),
+           bias=st.sampled_from(sorted(SCAN_BIASES)),
+           gamma=st.floats(0.1, 10.0), c=st.floats(1e-3, 1e3))
+    @example(act="tanh", bias="N(0, 9)", gamma=1.0, c=100.0)  # refused at every gamma
+    @example(act="relu", bias="point", gamma=1.0, c=0.5)  # refused: a kink and no spread
+    @example(act="cos", bias="N(0, 9)", gamma=1.0, c=3.0)
+    @settings(max_examples=30, deadline=None)
+    def test_scale_equivariance(self, act, bias, gamma, c):
+        outcomes = []
+        for scale in (gamma, c * gamma):
+            try:
+                outcomes.append(rnn_lipschitz(SCAN_ACTIVATIONS[act](), scale, SCAN_BIASES[bias]))
+            except (NumericalFailureError, HypothesisViolationError) as exc:
+                outcomes.append(type(exc))
+        base, scaled = outcomes
+        if isinstance(base, type) or isinstance(scaled, type):
+            assert base == scaled
+            return
+        assert_allclose(scaled.value, c * base.value, rtol=1e-15)
+        assert_allclose(c * scaled.argmax_r, base.argmax_r, rtol=1e-15)
+        assert_allclose(scaled.error_estimate, c * base.error_estimate, rtol=1e-15)
+
+    # sup_tau sqrt(g(tau)) is gamma's alone; the search domain used to scale
+    # as gamma, which stopped short of cos's peak at tau = sqrt(3)/2 for
+    # gamma <= 0.1 and ran past what the 1-D rule resolves at gamma = 100.
+    @given(gamma=st.floats(1e-2, 1e2), family=st.sampled_from(["gaussian", "point", "uniform"]),
+           sd=st.floats(0.1, 3.0), a=st.floats(-4.0, 4.0), width=st.floats(0.1, 8.0))
+    @example(gamma=0.05, family="gaussian", sd=1.0, a=0.0, width=1.0)
+    @example(gamma=100.0, family="point", sd=1.0, a=0.0, width=1.0)
+    @settings(max_examples=25, deadline=None)
+    def test_cos_closed_form_over_gamma(self, gamma, family, sd, a, width):
+        if family == "gaussian":
+            bias, mean_cos = BiasDistribution.gaussian(sd), math.exp(-2.0 * sd * sd)
+        elif family == "point":
+            bias, mean_cos = BiasDistribution.point_mass(), 1.0
+        else:
+            bias = BiasDistribution.uniform(a, a + width)
+            mean_cos = (math.sin(2.0 * (a + width)) - math.sin(2.0 * a)) / (2.0 * width)
+        report = rnn_lipschitz(scaled_cosine(), gamma, bias)
+        expected = gamma * math.sqrt(1.0 + max(2.0 * mean_cos * math.exp(-1.5), -mean_cos))
+        assert_allclose(report.value, expected, rtol=1e-9)
 
     def test_kinked_activation_needs_continuous_bias(self):
         with pytest.raises(HypothesisViolationError):
@@ -160,22 +207,33 @@ class TestRnnLipschitz:
         assert report.value == math.sqrt(scans[0].max_value)
         assert report.argmax_r == scans[0].argmax
 
-    def test_default_r_domain(self):
-        lo, hi = default_r_domain(0.5, STD_GAUSSIAN_BIAS)
-        assert lo == 0.0
-        assert_allclose(hi, 10.0 * 0.5 * 2.0)
-
     def test_bad_domain_rejected(self):
         with pytest.raises(InvalidArgumentError):
             rnn_lipschitz(identity(), 1.0, UNIFORM_PHASE, r_domain=(2.0, 1.0))
 
     def test_edge_of_a_given_domain_is_kept(self):
-        # cos with an N(0, 1) bias at gamma = 0.1 peaks past the default domain's
-        # end, which is a guess; the end of a domain the caller gives is taken.
-        with pytest.raises(NumericalFailureError, match="end of the default search domain"):
-            rnn_lipschitz(scaled_cosine(), 0.1, STD_GAUSSIAN_BIAS)
+        # cos with an N(0, 1) bias peaks at r gamma = sqrt(3)/2, past the end of
+        # each of these domains; the end of a domain the caller gives is taken,
+        # and reads back exactly whatever the rounding of r_max gamma.
         report = rnn_lipschitz(scaled_cosine(), 0.1, STD_GAUSSIAN_BIAS, r_domain=(0.0, 2.0))
         assert report.argmax_r == 2.0
+        for gamma in (0.3, 3.0, 7.0):
+            report = rnn_lipschitz(scaled_cosine(), gamma, STD_GAUSSIAN_BIAS, r_domain=(0.0, 0.1))
+            assert report.argmax_r == 0.1
+
+    # With s'(u) = u and a point-mass bias, g(tau) = 3 tau^2 rises without
+    # bound, so the supremum lies past the default domain at every gamma.
+    @pytest.mark.parametrize("gamma", [0.01, 1.0, 100.0])
+    def test_rising_profile_refused_at_the_default_domain_end(self, gamma):
+        square = Activation(name="square", value=lambda u: 0.5 * u**2, derivative=lambda u: u,
+                            lipschitz_bound=math.inf)
+        with pytest.raises(NumericalFailureError, match="end of the default search") as info:
+            rnn_lipschitz(square, gamma, BiasDistribution.point_mass())
+        for named in (f"gamma = {gamma:g},", "bias point", "argmax r = ", "error "):
+            assert named in str(info.value)
+        report = rnn_lipschitz(square, gamma, BiasDistribution.point_mass(), r_domain=(0.0, 1.0))
+        assert report.argmax_r == 1.0
+        assert_allclose(report.value, math.sqrt(3.0) * gamma**2, rtol=1e-12)
 
     # A gamma whose square is not a normal float: relu at 1e-200 used to
     # give a constant of 0 with error estimate 0.
@@ -213,17 +271,21 @@ class TestOneDimensionalRoute:
     """The 1-D route for Gaussian and point-mass biases against closed forms."""
 
     # With c = E cos 2b, nu(r) = gamma^2 - c (gamma^2 - 4 gamma^4 r^2) exp(-2 gamma^2 r^2),
-    # which peaks at gamma r = sqrt(3)/2 for c > 0.
-    @pytest.mark.parametrize("gamma", [0.3, 0.5, 1.0, 2.0, 3.0])
+    # which peaks at gamma r = sqrt(3)/2 for c > 0.  While the search domain
+    # scaled as gamma, gamma = 0.1 and 100 were refused, and gamma = 10 took
+    # 0.3-0.6 s.
+    @pytest.mark.parametrize("gamma", [0.1, 0.3, 0.5, 1.0, 2.0, 3.0, 10.0, 100.0])
     @pytest.mark.parametrize("bias, c", [
         (BiasDistribution.gaussian(0.5), math.exp(-0.5)),
         (STD_GAUSSIAN_BIAS, math.exp(-2.0)),
         (BiasDistribution.point_mass(), 1.0),
     ], ids=["gaussian0.5", "gaussian1", "point"])
     def test_cos_closed_form(self, bias, c, gamma):
+        start = time.process_time()
         report = rnn_lipschitz(scaled_cosine(), gamma, bias)
+        assert time.process_time() - start < 0.2
         expected = gamma * math.sqrt(1.0 + max(2.0 * c * math.exp(-1.5), -c))
-        assert_allclose(report.value, expected, rtol=1e-9)
+        assert_allclose(report.value, expected, rtol=1e-12)
 
     @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
     def test_relu_gaussian_bias(self, gamma):
@@ -253,12 +315,12 @@ class TestOneDimensionalRoute:
             nu_function(scaled_cosine(), 1.0, BiasDistribution.point_mass(), 2.2e-313)
 
     def test_certificate_ladder_must_converge(self, monkeypatch):
-        monkeypatch.setattr(analytic, "_nu_with_error", lambda act, g, b, r: (0.5, 1e-3))
+        monkeypatch.setattr(analytic, "_nu_with_error", lambda act, b, tau: (0.5, 1e-3))
         with pytest.raises(NumericalFailureError, match="certificate's quadrature ladder"):
             rnn_lipschitz(relu(), 1.0, STD_GAUSSIAN_BIAS)
 
     def test_routes_must_agree(self, monkeypatch):
-        monkeypatch.setattr(analytic, "_nu_with_error", lambda act, g, b, r: (0.5 + 1e-7, 0.0))
+        monkeypatch.setattr(analytic, "_nu_with_error", lambda act, b, tau: (0.5 + 1e-7, 0.0))
         with pytest.raises(NumericalFailureError, match="differ at the supremum"):
             rnn_lipschitz(relu(), 1.0, STD_GAUSSIAN_BIAS)
 
@@ -266,12 +328,12 @@ class TestOneDimensionalRoute:
         # An unconverged low value anywhere on the scan could hide the supremum.
         profile = analytic._profile_1d
 
-        def noisy(act, gamma, bias):
-            inner = profile(act, gamma, bias)
+        def noisy(act, bias):
+            inner = profile(act, bias)
 
-            def evaluate(r):
-                nu, alpha = inner(r)
-                nu[:, 1] += np.where(np.isclose(r, 7.0, atol=0.02), 1e-3, 0.0)
+            def evaluate(tau):
+                nu, alpha = inner(tau)
+                nu[:, 1] += np.where(np.isclose(tau, 7.0, atol=0.02), 1e-3, 0.0)
                 return nu, alpha
             return evaluate
 
@@ -566,11 +628,11 @@ class TestAlphaBeta:
     def test_unconverged_refused(self, monkeypatch, moment):
         profile = analytic._profile_1d
 
-        def noisy(act, gamma, bias):
-            inner = profile(act, gamma, bias)
+        def noisy(act, bias):
+            inner = profile(act, bias)
 
-            def evaluate(r):
-                nu, alpha = inner(r)
+            def evaluate(tau):
+                nu, alpha = inner(tau)
                 (nu if moment == "nu" else alpha)[:, 1] += 1e-3
                 return nu, alpha
             return evaluate

@@ -282,53 +282,59 @@ class TestExitStatuses:
         assert "gamma" in captured.err and "Traceback" not in captured.err
         assert captured.out == ""
 
-    # Each printed a wrong constant with exit 0: they peak where the default
-    # search domain ends.
-    @pytest.mark.parametrize("activation, bias, gamma, cause", [
-        ("cos", "gaussian:1", "0.05", "end of the default search domain"),
-        ("cos", "gaussian:1", "0.1", "end of the default search domain"),
-        ("cos", "point:0", "0.1", "end of the default search domain"),
-    ])
-    def test_wrong_supremum_refused(self, activation, bias, gamma, cause, capsys):
-        argv = ["analytic", "--activation", activation, "--bias", bias, "--gamma", gamma]
-        assert main(argv) == EXIT_NUMERICAL
+    # cos peaks at r gamma = sqrt(3)/2.  These printed a wrong constant with
+    # exit 0, then exited 4, while the search domain scaled as gamma and
+    # ended short of the peak; the domain in r gamma reaches it at any gamma.
+    @pytest.mark.parametrize("bias, gamma, mean_cos", [
+        ("gaussian:1", "0.05", np.exp(-2.0)),
+        ("gaussian:1", "0.1", np.exp(-2.0)),
+        ("point:0", "0.1", 1.0),
+    ], ids=["gaussian1-0.05", "gaussian1-0.1", "point-0.1"])
+    def test_small_gamma_supremum_found(self, bias, gamma, mean_cos, tmp_path, capsys):
+        path = tmp_path / "lip.csv"
+        argv = ["analytic", "--activation", "cos", "--bias", bias, "--gamma", gamma,
+                "--output", str(path)]
+        assert main(argv) == EXIT_OK
+        assert "Traceback" not in capsys.readouterr().err
+        value = float(path.read_text().splitlines()[1].split(",")[1])
+        expected = float(gamma) * np.sqrt(1.0 + 2.0 * mean_cos * np.exp(-1.5))
+        assert_allclose(value, expected, rtol=1e-12)
+
+    # The domain end r_max gamma overflows in the first, which is a numerical
+    # failure; the second is no finite domain at all.
+    @pytest.mark.parametrize("argv, status, cause", [
+        (["--r-max", "1e300", "--gamma", "1e10"], EXIT_NUMERICAL, "r * gamma overflows"),
+        (["--r-max", "inf"], EXIT_CONFIG, "r_max < inf"),
+    ], ids=["overflow", "infinite"])
+    def test_r_max_statuses(self, argv, status, cause, capsys):
+        assert main(["analytic", *argv]) == status
         captured = capsys.readouterr()
         assert cause in captured.err and "Traceback" not in captured.err
-        for named in (f"gamma = {gamma},", f"bias {bias},", "argmax r = ", "error "):
-            assert named in captured.err
         assert captured.out == ""
 
-    # The radius domain scales as gamma, so the scan runs out to r ~ 1e151;
-    # its golden-section refinement used to spin once its bracket was a few
-    # ulps wide.  ReLU's profile is flat and comes out right; cos's
-    # oscillation cannot be resolved out to |u| ~ 1e302.  With the uniform
-    # phase, S(u + 2 pi) - S(u) rounds away there, and at 1e154 r gamma
-    # overflows; the 2-D ladder took 4 s to refuse 1e150.
-    @pytest.mark.parametrize("activation, bias, gamma, status, cause", [
-        pytest.param("relu", "gaussian:1", "1e150", EXIT_OK, None, id="relu-0"),
-        pytest.param("cos", "gaussian:1", "1e150", EXIT_NUMERICAL,
-                     "1-D quadrature did not converge", id="cos-4"),
-        *(pytest.param("cos", "uniform:0:6.283185307179586", gamma, EXIT_NUMERICAL, cause,
-                       id=f"cos-phase-{gamma}")
-          for gamma, cause in (("1e20", "rounds at"), ("1e150", "rounds at"),
-                               ("1e154", "r * gamma overflows"))),
+    # The scan runs over r gamma on a gamma-free domain, so a huge gamma only
+    # scales the constant.  When the radius domain scaled as gamma, the scan
+    # ran out to r ~ 1e151: cos's oscillation could not be resolved out to
+    # |u| ~ 1e302, and with the uniform phase S(u + 2 pi) - S(u) rounded away
+    # there or r gamma overflowed, each exiting 4.
+    @pytest.mark.parametrize("activation, bias, gamma, lip_over_gamma", [
+        pytest.param("relu", "gaussian:1", "1e150", 1.0 / np.sqrt(2.0), id="relu-0"),
+        pytest.param("cos", "gaussian:1", "1e150", np.sqrt(1.0 + 2.0 * np.exp(-3.5)), id="cos-4"),
+        *(pytest.param("cos", "uniform:0:6.283185307179586", gamma, 1.0, id=f"cos-phase-{gamma}")
+          for gamma in ("1e20", "1e150", "1e154")),
     ])
     @pytest.mark.filterwarnings("error")
-    def test_huge_gamma_answers_at_once(self, activation, bias, gamma, status, cause,
+    def test_huge_gamma_answers_at_once(self, activation, bias, gamma, lip_over_gamma,
                                         tmp_path, capsys):
         path = tmp_path / "lip.csv"
         start = time.process_time()
         code = main(["analytic", "--activation", activation, "--bias", bias,
                      "--gamma", gamma, "--output", str(path)])
         assert time.process_time() - start < 1.0
-        assert code == status
-        captured = capsys.readouterr()
-        if status == EXIT_OK:
-            value = float(path.read_text().splitlines()[1].split(",")[1])
-            assert_allclose(value, float(gamma) / np.sqrt(2.0), rtol=1e-12)
-        else:
-            assert cause in captured.err
-            assert "Traceback" not in captured.err
+        assert code == EXIT_OK
+        assert "Traceback" not in capsys.readouterr().err
+        value = float(path.read_text().splitlines()[1].split(",")[1])
+        assert_allclose(value, float(gamma) * lip_over_gamma, rtol=1e-12)
 
     def test_uniform_bias_on_a_huge_interval(self, tmp_path):
         # tanh' is 0 in floats at every bias node of the 2-D rule on
