@@ -117,6 +117,12 @@ class TestRnnLipschitz:
                                r_domain=(0.0, 10.0))
         assert abs(report.value - TANH_LIP_ORACLE) <= 3 * TANH_LIP_ORACLE_STDERR
 
+    @pytest.mark.parametrize("c", [0.5, 2.0, 3.7])
+    def test_scale_equivariance(self, c):
+        base = rnn_lipschitz(scaled_cosine(), 1.0, UNIFORM_PHASE).value
+        scaled = rnn_lipschitz(scaled_cosine(), c, UNIFORM_PHASE).value
+        assert_allclose(scaled, c * base, rtol=1e-6)
+
     # nu(r) = gamma^2 g(r gamma) and the supremum is taken over tau = r gamma,
     # so every verdict is gamma's, the constant scales as gamma and argmax_r
     # as 1 / gamma.  cos with N(0, 9) moved by 3.4e-9 relative over gamma when
@@ -128,7 +134,7 @@ class TestRnnLipschitz:
     @example(act="relu", bias="point", gamma=1.0, c=0.5)  # refused: a kink and no spread
     @example(act="cos", bias="N(0, 9)", gamma=1.0, c=3.0)
     @settings(max_examples=30, deadline=None)
-    def test_scale_equivariance(self, act, bias, gamma, c):
+    def test_scale_equivariance_over_laws(self, act, bias, gamma, c):
         outcomes = []
         for scale in (gamma, c * gamma):
             try:
