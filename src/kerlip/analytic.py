@@ -80,7 +80,7 @@ def _kink_locator(act: Activation, r: float):
 def _nu_with_error(act: Activation, bias: BiasDistribution, tau: float) -> tuple[float, float]:
     """``g(tau)`` of :func:`_profile_1d` on the 2-D ladder: ``nu(tau)`` at ``gamma = 1``."""
     def f(zeta, b):
-        return zeta**2 * act.derivative(zeta * tau + b) ** 2
+        return zeta**2 * act.slope_sq(zeta * tau + b)
 
     return numerics.expectation_2d_adaptive(f, 1.0, bias, _kink_locator(act, tau))
 
@@ -105,10 +105,7 @@ def _profile_1d(act: Activation, bias: BiasDistribution):
     ``D(0)``) exactly.
     """
     if bias.family != "uniform":
-        sd, kinks, rounding = bias.sd, act.kinks, None
-
-        def slope_sq(u):
-            return act.derivative(u) ** 2
+        sd, kinks, rounding, slope_sq = bias.sd, act.kinks, None, act.slope_sq
     else:
         if act.slope_sq_integral is None:
             raise UnsupportedDistributionError(

@@ -201,8 +201,9 @@ def _validate(cfg: RunConfig, provided: set) -> None:
     if not kernels._normal_square(cfg.gamma):
         raise UsageError(f"gamma must be positive and finite, with gamma**2 a normal "
                          f"float, got {cfg.gamma}")
-    if cfg.dim < 1:
-        raise UsageError(f"dim must be >= 1, got {cfg.dim}")
+    for key in ("dim", "grid_points", "pair_grid_size"):
+        if getattr(cfg, key) < 1:
+            raise UsageError(f"{key} must be >= 1, got {getattr(cfg, key)}")
     if not 0.0 < cfg.delta < 1.0:
         raise UsageError(f"delta must be in (0, 1), got {cfg.delta}")
     _parse_bias(cfg.bias)
@@ -248,6 +249,8 @@ def _parse_sigma(spec: str, dim: int) -> np.ndarray:
             matrix = np.loadtxt(path, ndmin=2)
         except OSError as exc:
             raise ExperimentIOError(f"cannot read sigma file {path}: {exc}") from exc
+        except ValueError as exc:  # a non-numeric entry or a ragged row
+            raise UsageError(f"malformed sigma file {path}: {exc}") from exc
         if matrix.shape != (dim, dim):
             raise UsageError(f"sigma file has shape {matrix.shape}, dim is {dim}")
         return matrix

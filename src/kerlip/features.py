@@ -151,8 +151,10 @@ def empirical_lipschitz(fm: RandomFeatureMap, grid: np.ndarray):
       a maximum whose sines are all near 0 loses relative accuracy, and
       there the ``np.sin`` route's own argument round-off does too;
     - the derivative route, for every other activation and grid: it
-      calls ``activation.derivative`` (``np.sin`` for cosine features),
-      and each norm has the bits that one unblocked pass gives.
+      forms ``u = x w``, adds ``b`` in place and reads the squared slopes
+      from ``activation.slope_sq`` (``np.sin`` squared for cosine
+      features, a 0/1 indicator for ReLU), and each norm has the bits
+      that one unblocked pass of squared ``derivative`` values gives.
 
     Both routes work on the stack's ``B N`` features side by side and end
     each row block in one stacked matrix-vector product, which makes the
@@ -192,8 +194,9 @@ def empirical_lipschitz(fm: RandomFeatureMap, grid: np.ndarray):
             for g in _map_groups(maps, min(rows, n_points) * n):
                 w_sq = w[g]**2
                 for lo, hi in _row_blocks(n_points, rows):
-                    slopes = fm.activation.derivative(grid[lo:hi, :, None] * w[g] + biases[g])
-                    _stacked_gemv(slopes**2, w_sq, norms[g, lo:hi])
+                    u = grid[lo:hi, :, None] * w[g]
+                    u += biases[g]
+                    _stacked_gemv(fm.activation.slope_sq(u), w_sq, norms[g, lo:hi])
         # Operator norm of an N x 1 Jacobian is its Euclidean norm.
         norms = np.sqrt(norms / n)
     else:

@@ -47,7 +47,10 @@ class Activation:
     measurable everywhere.  ``sine_amplitude`` is ``a`` when
     ``derivative(u) = -a sin(u)``, and ``None`` otherwise; the grid
     estimator then computes sines by phase rotation.
-    ``slope_sq_integral`` is ``S(u)``, the integral of ``derivative**2``
+    ``slope_sq`` is ``u -> s'(u)**2``, the one definition of the squared
+    slope that the grid estimator and the curvature profile read; left
+    unset it squares ``derivative``, and one given must keep those bits.
+    ``slope_sq_integral`` is ``S(u)``, the integral of ``slope_sq``
     from 0 to ``u``, or ``None``; a uniform bias needs it.
     """
 
@@ -58,6 +61,12 @@ class Activation:
     kinks: tuple[float, ...] = ()
     sine_amplitude: Optional[float] = None
     slope_sq_integral: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    slope_sq: Optional[Callable[[np.ndarray], np.ndarray]] = None
+
+    def __post_init__(self):
+        if self.slope_sq is None:
+            derivative = self.derivative
+            object.__setattr__(self, "slope_sq", lambda u: derivative(u) ** 2)
 
 
 def scaled_cosine(kappa0: float = 1.0) -> Activation:
@@ -81,6 +90,9 @@ def relu() -> Activation:
         lipschitz_bound=1.0,
         kinks=(0.0,),
         slope_sq_integral=lambda u: np.maximum(u, 0.0),
+        # 1.0 where u > 0, written straight into a float array: the bits of
+        # the squared 0/1 slopes, with no select and no squaring pass.
+        slope_sq=lambda u: np.greater(u, 0.0, out=np.empty(np.shape(u))),
     )
 
 
@@ -253,6 +265,11 @@ def second_moment_status(dist: WeightDistribution) -> Optional[np.ndarray]:
 #: Rows per in-place block of :func:`sample_weights` (1 MiB at d = 2).
 _DRAW_ROWS = 1 << 16
 
+#: Most floats per group of maps that one :func:`_transform` call turns
+#: (64 KiB).  Its product temporary then stays under glibc's 128 KiB mmap
+#: threshold; a larger one moves the heap's top and costs page faults.
+_TRANSFORM_ELEMENTS = 8192
+
 
 def _integer(value, name: str) -> int:
     """``value`` as an int; a float or another non-integer raises."""
@@ -380,43 +397,67 @@ def _keyed_streams(keys: tuple, i: int, streams: Optional[tuple] = None) -> tupl
     return streams
 
 
+def _read_raw(dist: WeightDistribution, bias: BiasDistribution, streams: tuple,
+              w: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
+    """Read the raw draws of ``len(w)`` rows from ``streams`` into ``w`` and ``b``.
+
+    ``streams`` are the generators that ``_keyed_streams`` gives.  ``w``
+    gets standard normals, ``b`` the bias law's standard draws (uniform on
+    [0, 1), standard normal or 0), and the return value is the chi-square
+    mix of Student weights, or None.  :func:`_transform` turns them into
+    the law's draws.
+    """
+    normals, mix, bias_stream = streams
+    normals.standard_normal(out=w)
+    if bias.family == "uniform":
+        bias_stream.random(out=b)
+    elif bias.family == "gaussian":
+        bias_stream.standard_normal(out=b)
+    else:
+        b[...] = 0.0
+    return None if mix is None else mix.chisquare(2.0 * dist.nu, size=len(w))
+
+
+def _transform(dist: WeightDistribution, bias: BiasDistribution, w: np.ndarray,
+               b: np.ndarray, mix: Optional[np.ndarray]) -> None:
+    """Turn raw draws of :func:`_read_raw` into the laws' draws, in place.
+
+    Weights are ``z @ chol.T``; Student weights divide that by ``sqrt(mix
+    / (2 nu))``.  ``w`` is ``(n, d)`` or a ``(B, n, d)`` stack, with ``b``
+    and ``mix`` of its leading shape.  ``np.matmul`` makes one BLAS call
+    per map of a stack, so each map gets the bits it has alone.
+    """
+    w[...] = np.matmul(w, dist.chol.T)
+    if mix is not None:
+        df = 2.0 * dist.nu
+        w /= np.sqrt(mix / df)[..., None]
+    if bias.family == "uniform":
+        low, high = bias.params
+        b *= high - low
+        b += low
+    elif bias.family == "gaussian":
+        b *= bias.params[0]
+
+
 def _draw_blocks(dist: WeightDistribution, bias: BiasDistribution, n: int,
                  streams: tuple, w: np.ndarray, b: np.ndarray):
     """Draw ``n`` weight rows and biases from ``streams`` in row blocks.
 
-    ``streams`` are the generators that ``_keyed_streams`` gives.  Yields
-    the views ``(w_k, b_k)`` of each block once it is drawn: rows
-    ``lo:hi`` of ``w`` and ``b`` when ``w`` holds ``n`` rows, else their
-    first ``hi - lo`` rows.  The blocks are near-equal, of at most
-    ``min(len(w), _DRAW_ROWS)`` rows, so none has one row unless
-    ``n == 1``: numpy computes a one-row product on another BLAS path,
-    with other last bits.  Each stream is read in row order, so
-    the blocks draw what one block of ``n`` rows would.  Weights are
-    ``z @ chol.T`` with ``z`` standard normal; Student weights divide that
-    by ``sqrt(chi2(2 nu) / (2 nu))``.
+    Yields the views ``(w_k, b_k)`` of each block once it is read and
+    transformed: rows ``lo:hi`` of ``w`` and ``b`` when ``w`` holds ``n``
+    rows, else their first ``hi - lo`` rows.  The blocks are near-equal,
+    of at most ``min(len(w), _DRAW_ROWS)`` rows, so none has one row
+    unless ``n == 1``: numpy computes a one-row product on another BLAS
+    path, with other last bits.  Each stream is read in row order, so the
+    blocks draw what one block of ``n`` rows would.
     """
-    normals, mix, bias_stream = streams
     rows = min(len(w), _DRAW_ROWS)
     blocks = -(-n // rows)
     for k in range(blocks):
         lo, hi = n * k // blocks, n * (k + 1) // blocks
         at = lo if len(w) >= n else 0
         w_k, b_k = w[at:at + hi - lo], b[at:at + hi - lo]
-        normals.standard_normal(out=w_k)
-        w_k[...] = w_k @ dist.chol.T
-        if mix is not None:
-            df = 2.0 * dist.nu
-            w_k /= np.sqrt(mix.chisquare(df, size=hi - lo) / df)[:, None]
-        if bias.family == "uniform":
-            low, high = bias.params
-            bias_stream.random(out=b_k)
-            b_k *= high - low
-            b_k += low
-        elif bias.family == "gaussian":
-            bias_stream.standard_normal(out=b_k)
-            b_k *= bias.params[0]
-        else:
-            b_k[...] = 0.0
+        _transform(dist, bias, w_k, b_k, _read_raw(dist, bias, streams, w_k, b_k))
         yield w_k, b_k
 
 
@@ -427,8 +468,11 @@ def sample_weights(dist: WeightDistribution, bias: BiasDistribution,
     ``seed`` is one non-negative int, which gives weights ``(n, d)`` and
     biases ``(n,)``, or a 1-D uint64 array of ``B`` seeds, which gives
     weights ``(B, n, d)`` and biases ``(B, n)``; map ``j`` then has the
-    bits that ``int(seed[j])`` alone gives.  Blocks are drawn in place, so
-    the product holds no second ``(n, d)`` array.
+    bits that ``int(seed[j])`` alone gives.  Up to ``_DRAW_ROWS`` rows,
+    each map's raw streams are read into its slice of the stack, and one
+    :func:`_transform` call turns each group of maps of at most
+    ``_TRANSFORM_ELEMENTS`` floats.  Above that, each map is drawn in
+    in-place blocks, so the product holds no second ``(n, d)`` array.
     """
     if _integer(n, "n") < 1:
         raise InvalidArgumentError(f"need n >= 1, got {n}")
@@ -437,10 +481,22 @@ def sample_weights(dist: WeightDistribution, bias: BiasDistribution,
     w = np.empty((maps, n, dist.d))
     biases = np.empty((maps, n))
     streams = None
-    for j in range(maps):
-        streams = _keyed_streams(keys, j, streams)
-        for _ in _draw_blocks(dist, bias, n, streams, w[j], biases[j]):
-            pass
+    if n <= _DRAW_ROWS:
+        mixes = None if dist.nu is None else np.empty((maps, n))
+        for j in range(maps):
+            streams = _keyed_streams(keys, j, streams)
+            mix = _read_raw(dist, bias, streams, w[j], biases[j])
+            if mixes is not None:
+                mixes[j] = mix
+        size = max(1, _TRANSFORM_ELEMENTS // (n * dist.d))
+        for lo in range(0, maps, size):
+            g = slice(lo, lo + size)
+            _transform(dist, bias, w[g], biases[g], None if mixes is None else mixes[g])
+    else:
+        for j in range(maps):
+            streams = _keyed_streams(keys, j, streams)
+            for _ in _draw_blocks(dist, bias, n, streams, w[j], biases[j]):
+                pass
     return (w, biases) if isinstance(seed, np.ndarray) else (w[0], biases[0])
 
 

@@ -510,6 +510,18 @@ class TestVarianceDecomposition:
                                                        mc_samples=2_500_000, seed=11))
         assert checks[0] == checks[1] == checks[2]
 
+    # Recorded before the draw was split into stream reads and one transform;
+    # 2.5e6 samples make two full chunks and a partial one.
+    @pytest.mark.parametrize("act, lhs, stderr", [
+        (relu(), "0x1.16feb511aa498p-1", "0x1.944c04d4c5ddap-11"),
+        (tanh_activation(), "0x1.71f0191356fa2p-2", "0x1.0deea5cf74fe3p-11"),
+    ], ids=["relu", "tanh"])
+    def test_golden_bits(self, act, lhs, stderr):
+        check = variance_decomposition_check(act, 1.0, STD_GAUSSIAN_BIAS, np.array([0.6, 0.8]),
+                                             np.array([1.0, -0.3]), mc_samples=2_500_000,
+                                             seed=1)
+        assert check.lhs.hex() == lhs and check.lhs_stderr.hex() == stderr
+
     def test_memory_holds_no_chunk(self):
         # Each worker holds 64 KiB blocks of draws and their values, never
         # a 10^6-sample chunk (8 MB of values alone).

@@ -247,6 +247,34 @@ class TestExitStatuses:
         assert name in captured.err and "Traceback" not in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("argv, name", [
+        (["empirical", "--dim", "2", "--grid-points", "-4"], "grid_points"),
+        (["quantile-sweep", "--kernel", "gaussian", "--dim", "2", "--grid-points", "-4"],
+         "grid_points"),
+        (["empirical", "--dim", "2", "--grid-points", "0"], "grid_points"),
+        (["kernel-convergence", "--kernel", "gaussian", "--pair-grid-size", "-3"],
+         "pair_grid_size"),
+    ], ids=["empirical_negative_grid", "sweep_negative_grid", "zero_grid",
+            "negative_pair_grid"])
+    def test_grid_size_below_one_refused(self, argv, name, capsys):
+        # A negative size raised a raw TypeError or ValueError, and 0 became 2.
+        assert main(argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {name} must be >= 1, got {argv[-1]}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("text", ["1 0\n0 abc\n", "1 0\n0\n"],
+                             ids=["non_numeric", "ragged"])
+    def test_malformed_sigma_file_refused(self, text, tmp_path, capsys):
+        # np.loadtxt's ValueError ended in a traceback with exit 1.
+        f = tmp_path / "sigma.txt"
+        f.write_text(text)
+        argv = ["shift-invariant", "--kernel", "gaussian", "--dim", "2", "--sigma", f"file:{f}"]
+        assert main(argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: malformed sigma file {f}: ")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
     def test_negative_fd_step_refused(self, capsys):
         # It raised a raw TypeError from a complex power.
         argv = ["crosscheck", "--kernel", "matern", "--nu", "1.75", "--fd-step=-1e-4"]

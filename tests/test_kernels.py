@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import gamma as gamma_fn
@@ -70,6 +70,23 @@ class TestActivations:
             u = u[np.all(np.abs(u[:, None] - np.array(act.kinks + (np.inf,))) > h, axis=1)]
             fd = (integral(u + h) - integral(u - h)) / (2 * h)
             assert_allclose(fd, act.derivative(u) ** 2, atol=1e-6)
+
+    @pytest.mark.parametrize("name", ["relu", "tanh", "cos", "identity"])
+    @given(u=st.one_of(st.floats(allow_nan=False),
+                       st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                                        -2.225073858507201e-308, np.inf, -np.inf])),
+           size=st.integers(0, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_slope_sq_has_the_bits_of_the_squared_derivative(self, name, u, size):
+        # ReLU's indicator is written straight into a float array; every other
+        # activation squares its derivative.  Scalars, the kink at 0, both
+        # zeros, subnormals and infinities included.
+        act = ACTIVATIONS[name]()
+        for arg in (u, np.full(size, u), np.array([u, -u, 0.0, -0.0])):
+            with np.errstate(invalid="ignore"):  # sin(inf) is NaN on both sides
+                got, want = np.asarray(act.slope_sq(arg)), np.asarray(act.derivative(arg) ** 2)
+            assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
     def test_derivative_zero_at_kinks(self):
         act = relu()
@@ -394,9 +411,15 @@ class TestOneDrawPath:
     BIASES = [BiasDistribution.uniform(0.0, 2 * np.pi), BiasDistribution.gaussian(1.5),
               BiasDistribution.point_mass()]
 
+    # One transform turns the whole stack; at d = 3 with one or two rows per
+    # map each map's product still takes the path that it takes alone.
     @given(seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4),
-           student=st.booleans(), bias=st.sampled_from(BIASES), d=st.sampled_from([1, 2]),
+           student=st.booleans(), bias=st.sampled_from(BIASES), d=st.sampled_from([1, 2, 3]),
            n=st.sampled_from([1, 2, 17, _DRAW_ROWS + 3]))
+    @example(seeds=[3, 2**64 - 1, 0], student=True, bias=BIASES[0], d=3, n=1)
+    @example(seeds=[5, 6, 7, 8], student=False, bias=BIASES[1], d=3, n=1)
+    @example(seeds=[9, 2**40], student=True, bias=BIASES[2], d=3, n=2)
+    @example(seeds=[11, 12, 13], student=False, bias=BIASES[0], d=3, n=2)
     @settings(max_examples=60, deadline=None)
     def test_stack_matches_per_seed_calls(self, seeds, student, bias, d, n):
         dist = WeightDistribution(np.eye(d) + 0.25 * (d - 1), 1.5 if student else None)

@@ -270,6 +270,22 @@ class TestBlockedEstimatorBitIdentity:
             assert value == ref_value, grid.shape
             assert np.array_equal(argmax, ref_argmax), grid.shape
 
+    @pytest.mark.parametrize("n", [7, 1024])
+    def test_relu_kinks_on_grid_points(self, n):
+        # Exact dyadic weights and biases put x w + b on ReLU's kink (both
+        # zeros of it too) at many grid points; the slope there is 0.
+        rng = np.random.default_rng(n)
+        w = rng.choice([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0], size=n)
+        grid = np.concatenate([np.arange(-8, 9) / 8.0, rng.uniform(-1.0, 1.0, 40)])[:, None]
+        b = -w * grid[np.arange(n) % 17, 0]
+        w[:2], b[:2] = -1.0, -0.0  # at x = 0, -0.0 + -0.0
+        fm = RandomFeatureMap(w[:, None], b, relu())
+        assert np.any(grid * w + b == 0.0, axis=1).sum() >= min(n - 1, 17)
+        value, argmax = empirical_lipschitz(fm, grid)
+        ref_value, ref_argmax = _one_shot_estimator(fm, grid)
+        assert value == ref_value
+        assert np.array_equal(argmax, ref_argmax)
+
     @pytest.mark.parametrize("d", [1, 2])
     def test_tied_maximum_in_two_blocks_returns_lower_index(self, d):
         # Shifting the maximiser by 1e-12 flips no ReLU unit, so the
