@@ -11,6 +11,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -28,7 +29,6 @@ from .kernels import (
     ShiftInvariantKernel,
     WeightDistribution,
     derive_seed,
-    kappa_eval,
     second_moment_status,
 )
 
@@ -52,13 +52,23 @@ class LipschitzReport:
     """Computed Lipschitz constant of a feature map.
 
     ``value`` is ``math.inf`` exactly when ``method == "divergent"``;
-    ``argmax_r`` is present only for the quadrature route.
+    ``argmax_r`` is present only for the quadrature route.  A NaN
+    ``value`` or ``error_estimate``, or an infinite ``value`` of another
+    method, raises :class:`NumericalFailureError`.
     """
 
     value: float
     method: str
     argmax_r: Optional[float] = None
     error_estimate: float = 0.0
+
+    def __post_init__(self):
+        if math.isnan(self.value) or math.isnan(self.error_estimate):
+            raise NumericalFailureError(
+                f"{self.method} gave value {self.value} with error {self.error_estimate}")
+        if math.isinf(self.value) and (self.value < 0 or self.method != "divergent"):
+            raise NumericalFailureError(
+                f"{self.method} gave the infinite value {self.value}")
 
     def csv_row(self) -> str:
         argmax = "" if self.argmax_r is None else f"{self.argmax_r:.17g}"
@@ -385,7 +395,20 @@ def shift_invariant_lipschitz(kernel: ShiftInvariantKernel) -> LipschitzReport:
 
 def hessian_lipschitz_oracle(kernel: ShiftInvariantKernel,
                              h: float = numerics.DEFAULT_FD_STEP) -> LipschitzReport:
-    """Independent route: ``sqrt(lambda_max(-hessian(kappa)(0)))``.
+    """Independent route: ``sqrt(lambda_max(hessian(1 - kappa)(0)))``.
+
+    The finite differences run on ``g = 1 - kappa``, which is 0 at 0 and
+    about ``h**2`` at the stencil's points, so they lose nothing to the
+    ``kappa(0) = 1`` that differencing ``kappa`` carries.  ``g`` comes
+    from ``kernels._one_minus_kappa``: ``-expm1`` of the Gaussian and
+    Laplace exponents, and for any other Matern ``nu`` the Gamma mixture
+    ``1 - kappa = E_s[-expm1(-nu q / (2 s))]``, ``s ~ Gamma(nu, 1)``, on a
+    Legendre rule in ``log s`` that one call builds once.  That rule
+    shares no code with the Bessel form of :func:`kappa_eval`, needs no
+    scipy, and meets a 40-digit reference to about 1e-15 relative for
+    ``nu`` in ``[0.55, 1000]``; the value then meets the covariance route
+    to about 1e-15 for ``nu >= 5``, where the finite differences are exact
+    up to rounding.
 
     Only valid for kernels with a finite second spectral moment (the
     Hessian at 0 does not exist otherwise).  A step ``h`` outside
@@ -393,24 +416,38 @@ def hessian_lipschitz_oracle(kernel: ShiftInvariantKernel,
     kernel alike.  Near the edge, for Matern ``nu`` just above 1, the
     finite differences are off by about ``h**(2 (nu - 1))`` relative; where
     that exceeds 1e-2, the gap the crosscheck allows, a
-    :class:`NumericalFailureError` is raised.
+    :class:`NumericalFailureError` is raised, as it is for a non-finite
+    Hessian.
     """
-    if second_moment_status(kernel.spectral) is None:
+    law = kernel.spectral
+    if second_moment_status(law) is None:
         raise HypothesisViolationError(
             "kernel has infinite second spectral moment; kappa is not twice "
             "differentiable at 0")
     numerics._check_fd_step(h)
-    nu = kernel.spectral.nu
+    nu = law.nu
     if nu is not None and h ** (2.0 * (nu - 1.0)) > 1e-2:
         raise NumericalFailureError(
             f"step h = {h:g} is too coarse for nu = {nu:g}: the finite-difference "
             f"Hessian is off by about h**(2 (nu - 1)) = {h ** (2.0 * (nu - 1.0)):.3g} relative")
-    def kappa(delta):
-        return kappa_eval(kernel, delta)
+    # Every stencil point lies at least h/2 from 0, so one rule reaches them all.
+    q_min = (0.5 * h) ** 2 * float(np.linalg.eigvalsh(law.shape)[0])
 
-    rich, coarse = numerics.hessian_fd(kappa, kernel.d, h)
-    value = math.sqrt(max(numerics.sym_eig_max(-rich), 0.0))
-    coarse_value = math.sqrt(max(numerics.sym_eig_max(-coarse), 0.0))
+    # g depends on delta through q alone, and q(-delta) is q(delta): half
+    # the stencil's points reuse a value.
+    @lru_cache(maxsize=None)
+    def one_minus_kappa(q):
+        return float(kernels._one_minus_kappa(law, q, q_min))
+
+    def g(delta):
+        return one_minus_kappa(float(delta @ law.shape @ delta))
+
+    rich, coarse = numerics.hessian_fd(g, kernel.d, h)
+    if not (np.isfinite(rich).all() and np.isfinite(coarse).all()):
+        raise NumericalFailureError(
+            f"the finite-difference Hessian of 1 - kappa is not finite: {rich.tolist()}")
+    value = math.sqrt(max(numerics.sym_eig_max(rich), 0.0))
+    coarse_value = math.sqrt(max(numerics.sym_eig_max(coarse), 0.0))
     return LipschitzReport(value=value, method="thm41-hessian-fd",
                            error_estimate=abs(value - coarse_value))
 

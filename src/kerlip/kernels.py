@@ -11,13 +11,15 @@ built on counter-based Philox streams, so draws are reproducible and
 independent of call order.
 """
 
+import math
 import operator
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import InvalidArgumentError, UnsupportedDistributionError
+from .errors import InvalidArgumentError, NumericalFailureError, UnsupportedDistributionError
 
 __all__ = [
     "Activation",
@@ -531,10 +533,12 @@ def gaussian_kernel(sigma: np.ndarray) -> ShiftInvariantKernel:
 def matern_kernel(nu: float, sigma: np.ndarray) -> ShiftInvariantKernel:
     """Anisotropic Matern kernel with smoothness ``nu``.
 
-    Evaluated through the modified Bessel function of the second kind on
-    ``sqrt(2 nu d^T Sigma^-1 d)`` (``exp`` of minus it at ``nu = 1/2``);
-    the spectral measure is the multivariate Student law with ``2 nu``
-    degrees of freedom and shape matrix ``Sigma^-1``.
+    :func:`kappa_eval` evaluates it through the modified Bessel function
+    of the second kind on ``sqrt(2 nu d^T Sigma^-1 d)`` (``exp`` of minus
+    it at ``nu = 1/2``); the Hessian oracle reads ``1 - kappa`` off its
+    Gamma-mixture form instead.  The spectral measure is the multivariate
+    Student law with ``2 nu`` degrees of freedom and shape matrix
+    ``Sigma^-1``.
     """
     shape = np.linalg.inv(_check_spd(sigma))
     return ShiftInvariantKernel(WeightDistribution.student_t(nu, 0.5 * (shape + shape.T)))
@@ -545,13 +549,21 @@ def laplace_kernel(d: int) -> ShiftInvariantKernel:
     return matern_kernel(0.5, np.eye(d))
 
 
+_TINY = np.finfo(float).tiny
+
+
 def kappa_eval(kernel: ShiftInvariantKernel, delta: np.ndarray) -> float:
     """Closed-form ``kappa(delta)``, read off the spectral law's ``nu``.
 
     ``nu = None`` is the Gaussian kernel and ``nu = 1/2`` the closed form
     ``exp(-sqrt(2 nu q))``, with ``q = delta^T shape delta``; any other
     ``nu`` takes the Bessel form, whose value at ``delta = 0`` is the
-    small-argument limit 1, not the singular ``0 * inf`` product.
+    small-argument limit 1, not the singular ``0 * inf`` product.  Where
+    that form is not finite in floating point (``Gamma(nu)`` overflows
+    past ``nu = 171``, ``2**(1 - nu) / Gamma(nu)`` is subnormal from
+    about ``nu = 150``, and a small ``arg`` can take its product with
+    ``arg**nu`` below the normal range sooner),
+    :class:`NumericalFailureError` is raised.
     """
     delta = np.atleast_1d(np.asarray(delta, dtype=float))
     if delta.shape != (kernel.d,) or not np.isfinite(delta).all():
@@ -569,4 +581,77 @@ def kappa_eval(kernel: ShiftInvariantKernel, delta: np.ndarray) -> float:
     # process that evaluates no Matern Bessel kernel.
     from scipy.special import gamma as gamma_fn, kv
 
-    return float(2.0 ** (1.0 - law.nu) / gamma_fn(law.nu) * arg**law.nu * kv(law.nu, arg))
+    with np.errstate(all="ignore"):
+        norm = 2.0 ** (1.0 - law.nu) / gamma_fn(law.nu)
+        scale = norm * arg**law.nu
+        value = float(scale * kv(law.nu, arg))
+    # A norm or scale outside the normal range makes the product NaN or rounds it away.
+    if not (_TINY <= min(norm, scale) and scale < np.inf and math.isfinite(value)):
+        raise NumericalFailureError(
+            f"the Matern Bessel form at nu = {law.nu:g}, sqrt(2 nu q) = {arg:.6g} is not "
+            f"finite in floating point")
+    return value
+
+
+#: The Gamma-mixture rule of :func:`_one_minus_kappa`: Legendre panels of
+#: 32 nodes in ``x = log s``, of width at most 0.5 and at most 8 standard
+#: deviations of ``log s`` near its mode, and at most 4,096 of them.
+_MIXTURE_ORDER = 32
+_MIXTURE_WIDTH = 0.5
+_MIXTURE_PANELS = 4096
+
+
+@lru_cache(maxsize=16)
+def _gamma_mixture_rule(nu: float, c_min: float) -> tuple[np.ndarray, np.ndarray]:
+    """``exp(-x)`` at the nodes of the Gamma mixture, and their weights.
+
+    The weights are the Legendre weights times the ``Gamma(nu, 1)``
+    density of ``x = log s``, divided by their sum: the rule's own
+    normalisation, which stands for ``Gamma(nu)`` without the rounding of
+    ``nu log nu - nu - lgamma(nu)``.  The panels reach from
+    ``min(log nu, log c_min) - 40 / nu - 5``, far enough left for every
+    ``c = nu q / 2 >= c_min``, to ``log(nu + 40 + 10 sqrt(nu)) + 1``.
+    """
+    lo = min(math.log(nu), math.log(c_min)) - 40.0 / nu - 5.0
+    hi = math.log(nu + 40.0 + 10.0 * math.sqrt(nu)) + 1.0
+    width = min(_MIXTURE_WIDTH, 8.0 / math.sqrt(nu))
+    panels = math.ceil((hi - lo) / width)
+    if panels > _MIXTURE_PANELS:
+        raise NumericalFailureError(
+            f"the Gamma mixture at nu = {nu:g} needs {panels:.3g} panels, more than "
+            f"{_MIXTURE_PANELS}")
+    t, w = np.polynomial.legendre.leggauss(_MIXTURE_ORDER)
+    x = (lo + width * (np.arange(panels) + 0.5))[:, None] + 0.5 * width * t
+    y = x.ravel() - math.log(nu)
+    # nu x - e^x, less its value nu log nu - nu at the mode.
+    weights = np.tile(w, panels) * np.exp(nu * (y - np.expm1(y)))
+    weights /= weights.sum()
+    exp_neg_x = np.exp(-x.ravel())
+    exp_neg_x.flags.writeable = False
+    weights.flags.writeable = False
+    return exp_neg_x, weights
+
+
+def _one_minus_kappa(law: WeightDistribution, q, q_min: Optional[float] = None) -> np.ndarray:
+    """``1 - kappa`` at ``q = delta^T shape delta``, elementwise over ``q``.
+
+    Gaussian: ``-expm1(-q / 2)``; Matern ``nu = 1/2``:
+    ``-expm1(-sqrt(2 nu q))``.  Any other ``nu`` takes the Gamma mixture
+    ``kappa = E_s[exp(-nu q / (2 s))]``, ``s ~ Gamma(nu, 1)``, as
+    ``E_s[-expm1(-nu q / (2 s))]`` on a Legendre rule in ``log s``, which
+    has no ``1 - kappa`` cancellation and needs no Bessel function.  The
+    rule reaches every ``q >= q_min``, by default the smallest positive
+    ``q``; a caller that passes one ``q_min`` for many calls builds it once.
+    ``q = 0`` gives exactly 0.
+    """
+    q = np.asarray(q, dtype=float)
+    nu = law.nu
+    if nu is None:
+        return -np.expm1(-0.5 * q)
+    if nu == 0.5:
+        return -np.expm1(-np.sqrt(2.0 * nu * q))
+    if q_min is None:  # inf when no q is positive: the rule then starts left of the mode
+        q_min = float(np.min(q, where=q > 0.0, initial=np.inf))
+    # A subnormal q_min would give c_min = 0, whose log the rule cannot take.
+    exp_neg_x, weights = _gamma_mixture_rule(float(nu), max(0.5 * nu * q_min, _TINY))
+    return -np.expm1(np.multiply.outer(-0.5 * nu * q, exp_neg_x)) @ weights

@@ -338,12 +338,15 @@ def sym_eig_max(m: np.ndarray) -> float | np.ndarray:
     """Largest eigenvalue of a symmetric real matrix.
 
     A ``(k, d, d)`` stack gives a ``(k,)`` array, one value per matrix;
-    each matrix is checked for symmetry against its own scale.
+    each matrix is checked for symmetry against its own scale.  A
+    non-finite entry raises :class:`InvalidArgumentError`.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim not in (2, 3) or m.shape[-2] != m.shape[-1]:
         raise InvalidArgumentError(
             f"expected a square matrix or a stack of them, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise InvalidArgumentError("matrix entries must be finite")
     mt = np.swapaxes(m, -1, -2)
     scale = np.maximum(np.max(np.abs(m), axis=(-2, -1)), 1.0)
     if np.any(np.max(np.abs(m - mt), axis=(-2, -1)) > 1e-10 * scale):

@@ -12,7 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from kerlip import analytic, numerics
+from kerlip import analytic, kernels, numerics
 from kerlip.analytic import (
     CSV_HEADER,
     LipschitzReport,
@@ -720,6 +720,36 @@ class TestHessianOracle:
         with pytest.raises(InvalidArgumentError, match="step h"):
             hessian_lipschitz_oracle(matern_kernel(1.75, np.eye(1)), -1e-4)
 
+    @pytest.mark.parametrize("nu", [5.0, 50.0, 200.0, 1000.0])
+    @pytest.mark.parametrize("sigma", [np.eye(2), np.diag([2.0, 0.5])], ids=["I2", "diag2_0.5"])
+    def test_smooth_matern_to_round_off(self, nu, sigma):
+        # 1 - kappa from the Gamma mixture: no Gamma(nu) overflow at nu = 200,
+        # and no cancellation against kappa(0) = 1.
+        lam = np.max(1.0 / np.diag(sigma))
+        report = hessian_lipschitz_oracle(matern_kernel(nu, sigma))
+        assert_allclose(report.value, math.sqrt(2.0 * nu / (2.0 * nu - 2.0) * lam), rtol=1e-12)
+
+    @pytest.mark.parametrize("nu", [1.25, 1.5, 2.0])
+    def test_matern_near_one_within_the_band(self, nu):
+        # The finite differences are off by about h**(2 (nu - 1)) relative.
+        h = numerics.DEFAULT_FD_STEP
+        exact = math.sqrt(nu / (nu - 1.0))
+        report = hessian_lipschitz_oracle(matern_kernel(nu, np.eye(2)), h)
+        assert abs(report.value - exact) <= h ** (2.0 * (nu - 1.0)) * exact
+        if nu >= 1.5:
+            assert abs(report.value - exact) <= report.error_estimate
+
+    def test_gaussian_to_round_off(self):
+        report = hessian_lipschitz_oracle(gaussian_kernel(np.diag([1.0, 4.0])))
+        assert_allclose(report.value, 2.0, rtol=1e-12)
+
+    def test_non_finite_hessian_refused(self, monkeypatch):
+        # Refused before sym_eig_max sees it, whose InvalidArgumentError
+        # would read as a usage error.
+        monkeypatch.setattr(kernels, "_one_minus_kappa", lambda law, q, q_min: np.nan)
+        with pytest.raises(NumericalFailureError, match="not finite"):
+            hessian_lipschitz_oracle(matern_kernel(2.0, np.eye(2)))
+
     def test_agrees_with_covariance_route(self):
         for kernel in (gaussian_kernel(np.eye(2)),
                        gaussian_kernel(np.diag([1.0, 4.0])),
@@ -841,3 +871,14 @@ class TestLipschitzReport:
         report = LipschitzReport(value=math.inf, method="divergent")
         fields = report.csv_row().split(",")
         assert fields[:3] == ["divergent", "inf", ""]
+
+    @pytest.mark.parametrize("value, error, method", [
+        (math.nan, 0.0, "thm41-hessian-fd"),
+        (1.0, math.nan, "thm34-quadrature"),
+        (math.inf, 0.0, "thm41-covariance"),
+        (-math.inf, 0.0, "divergent"),
+        (math.nan, 0.0, "divergent"),
+    ])
+    def test_nan_or_misplaced_infinity_refused(self, value, error, method):
+        with pytest.raises(NumericalFailureError):
+            LipschitzReport(value=value, method=method, error_estimate=error)

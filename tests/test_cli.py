@@ -6,6 +6,7 @@ import io
 import os
 import tempfile
 import time
+import types
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from kerlip import cli, errors
+from kerlip import cli, errors, kernels
 from kerlip.cli import (
     EXIT_CONFIG,
     EXIT_HYPOTHESIS,
@@ -485,16 +486,44 @@ class TestCommands:
                      "--dim", "2", "--sigma", "diag:2,1"])
         assert code == EXIT_OK
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_crosscheck_nan_gap_is_numerical_failure(self, capsys):
-        # gamma(200) overflows in the Matern closed form, so the Hessian
-        # route returns NaN; a NaN gap must not pass as agreement.
+    def test_crosscheck_matern_nu200_agrees(self, capsys):
+        # Gamma(200) overflows the Bessel form; the Hessian route reads
+        # 1 - kappa off the Gamma mixture, which needs no Gamma function.
+        code = main(["crosscheck", "--kernel", "matern", "--nu", "200",
+                     "--dim", "2"])
+        out = capsys.readouterr().out
+        assert code == EXIT_OK
+        gap = float(out.split("relative gap:")[1])
+        assert gap <= 1e-6
+
+    def test_crosscheck_nan_gap_is_numerical_failure(self, monkeypatch, capsys):
+        # A NaN gap must not pass as agreement.  The Hessian route refuses
+        # to return NaN, so a stub stands in for one that would.
+        nan_report = types.SimpleNamespace(value=float("nan"), method="thm41-hessian-fd")
+        monkeypatch.setattr(cli.analytic, "hessian_lipschitz_oracle",
+                            lambda kernel, h: nan_report)
         code = main(["crosscheck", "--kernel", "matern", "--nu", "200",
                      "--dim", "2"])
         captured = capsys.readouterr()
         assert code == EXIT_NUMERICAL
         assert "relative gap: nan" in captured.out
         assert "numerical failure" in captured.err
+
+    def test_crosscheck_non_finite_hessian_exits_4(self, monkeypatch, capsys):
+        # Not 2: the oracle refuses the NaN Hessian before sym_eig_max would.
+        monkeypatch.setattr(kernels, "_one_minus_kappa", lambda law, q, q_min: np.nan)
+        code = main(["crosscheck", "--kernel", "matern", "--nu", "2"])
+        assert code == EXIT_NUMERICAL
+        assert "numerical failure" in capsys.readouterr().err
+
+    def test_kernel_convergence_refuses_an_overflowing_bessel_form(self, tmp_path, capsys):
+        # The sweep's exact kernel is the Bessel form, whose Gamma(200) overflows.
+        code = main(["kernel-convergence", "--kernel", "matern", "--nu", "200",
+                     "--n-list", "16", "--output", str(tmp_path / "conv.csv")])
+        err = capsys.readouterr().err
+        assert code == EXIT_NUMERICAL
+        assert err.startswith("numerical failure: ") and "not finite" in err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
 
     @pytest.mark.parametrize("nu", ["1.0001", "1.1"])
     def test_hessian_oracle_refuses_nu_near_one(self, nu, capsys):

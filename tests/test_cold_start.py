@@ -2,8 +2,10 @@
 
 Only the Matern kernel's Bessel form needs ``scipy.special``, which costs
 more start-up time and memory than numpy and kerlip together, so it is
-imported where that form is evaluated.  Each check here runs in a new
-interpreter, since this one may already hold scipy.
+imported where that form is evaluated.  The Hessian oracle and
+``crosscheck`` read a Matern kernel's ``1 - kappa`` off its Gamma-mixture
+form, which needs no scipy.  Each check here runs in a new interpreter,
+since this one may already hold scipy.
 """
 
 import json
@@ -17,8 +19,9 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# Representative calls that evaluate no Matern Bessel kernel, then one that
-# does.  Prints the scipy modules loaded after each part.
+# Representative calls that evaluate no Matern Bessel kernel, the Matern
+# Hessian oracle among them, then one that does.  Prints the scipy modules
+# loaded after each part.
 SCRIPT = """
 import contextlib, io, json, sys
 
@@ -42,9 +45,13 @@ experiments.quantile_sweep(QuantileSweepConfig.from_shift_invariant(
     kernel_1d, n_list=(16,), realizations=4, delta=0.9, grid=kerlip.default_grid_1d(),
     seed=1))
 experiments.kernel_convergence_sweep(kernel_1d, [16, 32], [((0.0,), (0.5,))], 0)
+for nu in (2.0, 200.0):
+    analytic.hessian_lipschitz_oracle(kerlip.matern_kernel(nu, np.eye(2)))
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(["analytic"]),
-             cli.main(["shift-invariant", "--kernel", "matern", "--nu", "2"])]
+             cli.main(["shift-invariant", "--kernel", "matern", "--nu", "2"]),
+             cli.main(["crosscheck", "--kernel", "matern", "--nu", "2"]),
+             cli.main(["crosscheck", "--kernel", "matern", "--nu", "200", "--dim", "2"])]
 before = scipy_modules()
 kerlip.kappa_eval(kerlip.matern_kernel(2.0, np.eye(2)), np.array([0.3, 0.4]))
 print(json.dumps({"codes": codes, "before": before, "after": scipy_modules()}))
@@ -63,7 +70,7 @@ def test_scipy_loads_only_for_the_matern_bessel_form(tmp_path):
     proc = _run(["-c", SCRIPT], cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert result["codes"] == [0, 0]
+    assert result["codes"] == [0, 0, 0, 0]
     assert result["before"] == []
     assert "scipy.special" in result["after"]
 

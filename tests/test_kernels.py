@@ -3,16 +3,18 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy import integrate
 from scipy.special import gamma as gamma_fn
 from scipy.special import kv
 
-from kerlip.errors import InvalidArgumentError, UnsupportedDistributionError
+from kerlip.errors import InvalidArgumentError, NumericalFailureError, UnsupportedDistributionError
 from kerlip.kernels import (
     ACTIVATIONS,
     BiasDistribution,
@@ -21,6 +23,7 @@ from kerlip.kernels import (
     _DRAW_ROWS,
     _draw_blocks,
     _keyed_streams,
+    _one_minus_kappa,
     _spawn_states,
     _stream_keys,
     derive_seed,
@@ -313,6 +316,90 @@ class TestKappaEval:
             delta *= min(1.0, 2.0 / np.linalg.norm(delta))
             mc = np.mean(np.cos(w @ delta))
             assert_allclose(mc, kappa_eval(kernel, delta), atol=0.01)
+
+
+    def test_overflowing_bessel_form_refused(self):
+        # Gamma(200) overflows, and the product was NaN with a RuntimeWarning.
+        kernel = matern_kernel(200.0, np.eye(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFailureError, match="not finite"):
+                kappa_eval(kernel, np.array([0.3, 0.4]))
+        assert kappa_eval(kernel, np.zeros(2)) == 1.0
+
+
+def _log_mode_density(nu):
+    """``nu log nu - nu - lgamma(nu)``, the log of the ``Gamma(nu, 1)`` density
+    of ``log s`` at its mode ``log nu``."""
+    if nu <= 50.0:
+        return nu * math.log(nu) - nu - math.lgamma(nu)
+    # Stirling's series keeps the digits that the difference above cancels.
+    return (0.5 * math.log(nu / (2.0 * math.pi)) - 1.0 / (12.0 * nu) + 1.0 / (360.0 * nu**3)
+            - 1.0 / (1260.0 * nu**5) + 1.0 / (1680.0 * nu**7))
+
+
+def _quad_one_minus_kappa(nu, q):
+    """``E_s[-expm1(-nu q / (2 s))]``, ``s ~ Gamma(nu, 1)``, by ``quad`` in
+    ``y = log(s / nu)``, split at the density's mode, at 1 and 4 of its
+    scales and at ``log(q / 2)``; within 2e-14 of a 40-digit mpmath value
+    for nu in [0.55, 1000] and q in [1e-12, 1e-4]."""
+    log_mode = _log_mode_density(nu)
+
+    def f(y):
+        return math.exp(nu * (y - math.expm1(y)) + log_mode) * -math.expm1(-0.5 * q * math.exp(-y))
+
+    lo = min(0.0, math.log(0.5 * q)) - 40.0 / nu - 5.0
+    hi = math.log(1.0 + 40.0 / nu + 10.0 / math.sqrt(nu)) + 1.0
+    sd = 1.0 / math.sqrt(nu)
+    inner = (math.log(0.5 * q), -4.0 * sd, -sd, 0.0, sd, 4.0 * sd)
+    cuts = sorted({lo, hi, *(p for p in inner if lo < p < hi)})
+    return sum(integrate.quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+               for a, b in zip(cuts[:-1], cuts[1:]))
+
+
+class TestGammaMixture:
+    LAWS = [gaussian_kernel(np.eye(1)).spectral, laplace_kernel(1).spectral,
+            matern_kernel(0.75, np.eye(1)).spectral, matern_kernel(200.0, np.eye(1)).spectral]
+
+    @pytest.mark.parametrize("law", LAWS, ids=["gaussian", "laplace", "nu0.75", "nu200"])
+    def test_zero_gives_exactly_zero(self, law):
+        assert _one_minus_kappa(law, 0.0) == 0.0
+        got = _one_minus_kappa(law, np.array([0.0, 1e-8, 0.0]))
+        assert got[0] == got[2] == 0.0 and got[1] > 0.0
+
+    def test_closed_forms(self):
+        q = np.array([1e-12, 1e-4, 0.5, 30.0])
+        assert np.array_equal(_one_minus_kappa(self.LAWS[0], q), -np.expm1(-0.5 * q))
+        assert np.array_equal(_one_minus_kappa(self.LAWS[1], q), -np.expm1(-np.sqrt(q)))
+
+    def test_elementwise_over_q(self):
+        law = self.LAWS[2]
+        q = np.array([[1e-6, 2.0], [0.3, 1e-10]])
+        got = _one_minus_kappa(law, q)
+        assert got.shape == q.shape
+        assert_allclose(got, [[float(_one_minus_kappa(law, v)) for v in row] for row in q],
+                        rtol=1e-14)
+
+    @given(nu=st.floats(min_value=0.55, max_value=1000.0),
+           log_q=st.floats(min_value=-12.0, max_value=3.0))
+    @example(nu=200.0, log_q=-8.0)
+    @example(nu=1000.0, log_q=-12.0)
+    @example(nu=0.55, log_q=3.0)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_bessel_form_and_quad(self, nu, log_q):
+        # The mixture and the Bessel form share no code: each is an oracle
+        # of the other.  quad checks the small q the Bessel form rounds away.
+        delta = np.array([math.sqrt(10.0**log_q)])
+        q = float(delta @ delta)
+        got = float(_one_minus_kappa(WeightDistribution.student_t(nu, np.eye(1)), q))
+        try:
+            bessel = kappa_eval(matern_kernel(nu, np.eye(1)), delta)
+        except NumericalFailureError:
+            bessel = None  # Gamma(nu) or sqrt(2 nu q)**nu overflows
+        if bessel is not None:
+            assert abs(got - (1.0 - bessel)) <= 1e-12
+        if q <= 1e-4:
+            assert_allclose(got, _quad_one_minus_kappa(nu, q), rtol=1e-12, atol=0.0)
 
 
 def _stream(seed, key):

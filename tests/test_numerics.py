@@ -298,6 +298,18 @@ class TestSymEigMax:
         with pytest.raises(InvalidArgumentError):
             sym_eig_max(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
+    # NaN entries passed the symmetry test, since every comparison with NaN
+    # is false, and eigvalsh returned NaN.
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at", [(0, 0), (0, 1)], ids=["diagonal", "off-diagonal"])
+    def test_non_finite_rejected(self, bad, at):
+        m = np.eye(2)
+        m[at] = m[at[::-1]] = bad
+        with pytest.raises(InvalidArgumentError, match="matrix entries must be finite"):
+            sym_eig_max(m)
+        with pytest.raises(InvalidArgumentError, match="matrix entries must be finite"):
+            sym_eig_max(np.stack([np.eye(2), m]))
+
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_similarity_invariance(self, seed):
