@@ -5,6 +5,7 @@ biases; evaluation at ``x`` is ``(1 / sqrt(N)) s(W x + b)``.  All
 evaluations are pure, so grids may be processed concurrently.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,10 +37,14 @@ _BLOCK_ELEMENTS = 8192
 #: keeps its own row blocks, and the maps of a group go side by side.
 _STACK_ELEMENTS = 16384
 
-#: Most grid rows the rotation route carries between two direct
-#: ``np.exp`` evaluations of the phases; each carried row adds about one
-#: unit of round-off to every sine.
+#: Most grid rows the double-angle route carries between two direct
+#: ``cos``/``sin`` evaluations of the phases; each carried row adds a few
+#: units of round-off to every phase.
 _ANCHOR_ROWS = 128
+
+#: Largest relative rounding the double-angle route may leave in a map's
+#: largest norm²; a map that cancels more takes the derivative route.
+_DOUBLE_ANGLE_RTOL = 2.0**-40
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,30 +141,44 @@ def empirical_lipschitz(fm: RandomFeatureMap, grid: np.ndarray):
 
     Two routes serve ``d = 1``:
 
-    - the rotation route, taken when the activation is a sinusoid
+    - the double-angle route, taken when the activation is a sinusoid
       (``s'(u) = -a sin u``, so ``activation.sine_amplitude`` is set)
       and the grid is uniform to round-off: ``|x_j - (x_0 + j h)| <=
       4 eps max|x|`` with ``h = (x_last - x_0) / (n_points - 1)``.  It
-      evaluates the norm at ``x_0 + j h`` and reads each ``a sin(u)`` as
-      the imaginary part of ``a exp(i u)``.  Those phases are complex
-      products, not ``np.sin`` calls: a direct ``np.exp`` at least every
-      ``_ANCHOR_ROWS`` rows, a table ``exp(i k h w)`` built by repeated
-      squaring, and each block's first row carried from the block
-      before.  Each sine is off by at most about ``_ANCHOR_ROWS``
-      round-off units, so a norm agrees with the ``np.sin`` route to
-      about 1e-15 relative (1e-14 at worst on 5,000-point grids).  Only
-      a maximum whose sines are all near 0 loses relative accuracy, and
-      there the ``np.sin`` route's own argument round-off does too;
+      evaluates the norm at ``x_0 + j h`` through ``sum_i a^2 w_i^2
+      sin^2 t_ij = a^2/2 (sum_i w_i^2 - Re sum_i w_i^2 exp(2i t_ij))``.
+      With ``j = k + R m`` for blocks of ``R`` rows, the last sum is
+      ``Re sum_i z_i^k c_im``, ``z_i = exp(2i h w_i)`` and ``c_im`` the
+      block start ``w_i^2 exp(2i t_i,Rm)``: a ``(blocks x N) (N x R)``
+      complex product.  With the starts stored conjugated, its real part
+      is one real gemm per map on the interleaved float views.  The
+      powers ``z^k`` come by repeated squaring, and the starts from a
+      direct ``cos``/``sin`` at least every ``_ANCHOR_ROWS`` rows,
+      carried by ``z^R`` between; no ``np.sin`` runs per grid point.
+      The subtraction cancels when every sine of a map is near 0: each
+      norm² is within ``eps a^2/2 sum w^2`` of its exact value
+      (``_cancellation_bound``: 700 to 2,300 round-off units on the
+      99-point grid for N up to 2^14), so a map whose largest norm²
+      does not exceed that bound by ``1 / _DOUBLE_ANGLE_RTOL`` = 2^40
+      is recomputed alone by the derivative route, and every other
+      map's maximum keeps a relative rounding below 2^-40 from the
+      subtraction; a norm² elsewhere that rounds below 0 reads 0.
+      Errors in the phases' angles, about ``_ANCHOR_ROWS`` units, move
+      each sine as the argument rounding of ``np.sin`` does, so a norm
+      agrees with the ``np.sin`` route to about 1e-15 relative (1e-14 at
+      worst on 5,000-point grids).  Each map keeps the bits it has alone;
     - the derivative route, for every other activation and grid: it
       forms ``u = x w``, adds ``b`` in place and reads the squared slopes
       from ``activation.slope_sq`` (``np.sin`` squared for cosine
       features, a 0/1 indicator for ReLU), and each norm has the bits
       that one unblocked pass of squared ``derivative`` values gives.
 
-    Both routes work on the stack's ``B N`` features side by side and end
-    each row block in one stacked matrix-vector product, which makes the
-    same BLAS call per map as a single map does.  ``d >= 2`` makes one
-    stacked ``spectral_norm`` call per block.
+    Both routes work on the stack's ``B N`` features side by side and make
+    the same BLAS calls per map as a single map does: the derivative
+    route one matrix-vector product per row block, the double-angle route
+    one gemm per feature chunk, whose temporaries hold at most
+    ``_BLOCK_ELEMENTS`` floats.  ``d >= 2`` makes one stacked
+    ``spectral_norm`` call per block.
     """
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     if grid.size == 0:
@@ -179,24 +198,12 @@ def empirical_lipschitz(fm: RandomFeatureMap, grid: np.ndarray):
         amp = fm.activation.sine_amplitude
         h = _uniform_step(grid[:, 0]) if amp is not None else None
         if h is not None:
-            rows = _rotation_rows(n)
-            # numpy multiplies a one-element complex array in place by the
-            # textbook formula, and longer ones with fused multiply-adds, so
-            # maps of one feature go one at a time.
-            per_map = 2 * min(rows, n_points) * n if n > 1 else _STACK_ELEMENTS
-            for g in _map_groups(maps, per_map):
-                _rotated_sine_norms(w[g], biases[g], amp, grid[0, 0], h, rows, norms[g])
+            cancelled = _double_angle_norms(w, biases, amp, grid[0, 0], h, norms)
+            for m in np.flatnonzero(cancelled):
+                g = slice(m, m + 1)
+                _slope_sq_norms(fm.activation, w[g], biases[g], grid, norms[g])
         else:
-            # Each block ends in one gemv per map.  OpenBLAS sums its rows in
-            # groups of four, so blocks start at multiples of four: every row
-            # is then summed as in one gemv over the whole grid.
-            rows = max(4, _BLOCK_ELEMENTS // n // 4 * 4)
-            for g in _map_groups(maps, min(rows, n_points) * n):
-                w_sq = w[g]**2
-                for lo, hi in _row_blocks(n_points, rows):
-                    u = grid[lo:hi, :, None] * w[g]
-                    u += biases[g]
-                    _stacked_gemv(fm.activation.slope_sq(u), w_sq, norms[g, lo:hi])
+            _slope_sq_norms(fm.activation, w, biases, grid, norms)
         # Operator norm of an N x 1 Jacobian is its Euclidean norm.
         norms = np.sqrt(norms / n)
     else:
@@ -216,11 +223,28 @@ def empirical_lipschitz(fm: RandomFeatureMap, grid: np.ndarray):
     return float(values[0]), grid[best[0]]
 
 
-def _map_groups(maps: int, per_map: int) -> list[slice]:
+def _map_groups(maps: int, per_map: int, elements: int = _STACK_ELEMENTS) -> list[slice]:
     """Consecutive groups of a stack's maps, so few that a temporary holding
-    ``per_map`` floats per map stays within ``_STACK_ELEMENTS`` floats."""
-    size = max(1, _STACK_ELEMENTS // per_map)
+    ``per_map`` floats per map stays within ``elements`` floats."""
+    size = max(1, elements // per_map)
     return [slice(lo, lo + size) for lo in range(0, maps, size)]
+
+
+def _slope_sq_norms(act: Activation, w, b, grid, out) -> None:
+    """``out[m, j] = sum_i act.slope_sq(w_mi x_j + b_mi) w_mi^2`` for a 1-D grid.
+
+    Each block ends in one gemv per map.  OpenBLAS sums its rows in groups
+    of four, so blocks start at multiples of four: every row is then
+    summed as in one gemv over the whole grid.
+    """
+    n_points, n = out.shape[1], w.shape[1]
+    rows = max(4, _BLOCK_ELEMENTS // n // 4 * 4)
+    for g in _map_groups(len(w), min(rows, n_points) * n):
+        w_sq = w[g]**2
+        for lo, hi in _row_blocks(n_points, rows):
+            u = grid[lo:hi, :, None] * w[g]
+            u += b[g]
+            _stacked_gemv(act.slope_sq(u), w_sq, out[g, lo:hi])
 
 
 def _stacked_gemv(a: np.ndarray, v: np.ndarray, out: np.ndarray) -> None:
@@ -255,48 +279,117 @@ def _uniform_step(x: np.ndarray):
     return h if deviation <= 4.0 * np.finfo(float).eps * max(abs(x0), abs(x_last)) else None
 
 
-def _rotation_rows(n: int) -> int:
-    """Grid rows per block of the rotation route for maps of ``n`` features.
+def _cancellation_bound(widest: int, chunks: int) -> float:
+    """``eps`` with each norm² of the double-angle route within ``eps a² Σw² / 2``.
 
-    A power of two, so every ``_ANCHOR_ROWS``-th row starts a block.  It
-    depends on ``n`` alone, so a map's sines keep their bits in a stack.
+    A first-order count in units ``u`` of round-off, for feature chunks
+    of at most ``widest`` features:
+
+    - each unit phase the gemm multiplies, ``z^k conj(c) / w²``, comes
+      from one ``cos``/``sin`` pair (``2 u`` off in modulus) carried
+      through at most ``_ANCHOR_ROWS`` rows of tabled or carried complex
+      products, each adding ``sqrt(5) u`` to the modulus error of what it
+      multiplies: within ``5 u`` per row, and ``3 u`` for the anchor and
+      its ``w²``;
+    - one gemm sums ``2 widest`` products whose magnitudes add up to at
+      most ``sqrt(2) Σw²``, and the chunks' partial sums add ``chunks``
+      roundings of that size: ``(2 widest + chunks) sqrt(2) u``;
+    - ``Σw²`` itself, ``(widest + chunks) u``.
+
+    Errors in the phases' angles are left out: they move ``sin²`` as
+    they move the sine, as the argument rounding of ``np.sin`` does.
     """
-    rows = _ANCHOR_ROWS
-    while rows > 1 and 2 * rows * n > _BLOCK_ELEMENTS:
-        rows //= 2
-    return rows
+    return (5 * _ANCHOR_ROWS + 4 * widest + 3 * chunks + 8) * np.finfo(float).eps / 2
 
 
-def _rotated_sine_norms(w, b, amp, x0, h, rows, out) -> None:
-    """``out[m, j] = sum_i (amp sin(w_mi (x0 + j h) + b_mi))^2 w_mi^2`` by phase rotation.
+def _fill_powers(table: np.ndarray, base: np.ndarray) -> None:
+    """``table[k] = table[0] base**k`` by repeated squaring.
 
-    ``w`` and ``b`` hold one row of ``N`` features per map, and blocks of
-    ``rows`` grid rows share one table of powers.
+    The caller sets ``table[0]``; ``base`` is squared in place.
     """
-    w_sq = w**2
-    # powers[k] = exp(i k h w), for as many rows as a block uses.
-    powers = np.empty((min(rows, out.shape[1]), *w.shape), dtype=complex)
-    powers[0] = 1.0
-    rot = np.exp(1j * (h * w))
     filled = 1
-    while filled < len(powers):
-        k = min(filled, len(powers) - filled)
-        np.multiply(powers[:k], rot, out=powers[filled:filled + k])
-        rot *= rot
-        filled *= 2
-    # rot is now exp(i rows h w), which carries a block's first row to the
-    # next; with a single block it goes unused.
-    phases = np.empty_like(powers)
-    slopes_sq = np.empty(powers.shape)
-    for lo in range(0, out.shape[1], rows):
-        k = min(rows, out.shape[1] - lo)
-        if lo % _ANCHOR_ROWS == 0:
-            first = amp * np.exp(1j * (w * (x0 + lo * h) + b))
-        else:
-            first *= rot
-        np.multiply(powers[:k], first, out=phases[:k])
-        np.square(phases[:k].imag, out=slopes_sq[:k])
-        _stacked_gemv(slopes_sq[:k], w_sq, out[:, lo:lo + k])
+    while filled < len(table):
+        k = min(filled, len(table) - filled)
+        np.multiply(table[:k], base, out=table[filled:filled + k])
+        filled += k
+        if filled < len(table):
+            base *= base
+
+
+def _double_angle_norms(w, b, amp, x0, h, out) -> np.ndarray:
+    """``out[m, j] = sum_i (amp sin(w_mi (x0 + j h) + b_mi))^2 w_mi^2`` by the
+    double-angle identity, one real gemm per map and feature chunk.
+
+    Returns a mask of the maps whose largest norm² does not clear
+    ``_cancellation_bound`` by ``1 / _DOUBLE_ANGLE_RTOL``; their rows of
+    ``out`` are not meaningful and the caller recomputes them.
+    """
+    (maps, n), n_points = w.shape, out.shape[1]
+    # Blocks of about sqrt(n_points) rows, as many as a block has rows, with
+    # an anchor every _ANCHOR_ROWS rows or sooner; near-equal feature chunks
+    # whose table of powers and block starts hold at most _BLOCK_ELEMENTS
+    # floats.  The layout depends on n_points and n alone, so a map keeps
+    # its bits in a stack.
+    rows = min(_ANCHOR_ROWS, math.isqrt(n_points - 1) + 1)
+    blocks = -(-n_points // rows)
+    per_anchor = min(blocks, _ANCHOR_ROWS // rows)
+    anchors = -(-blocks // per_anchor)
+    cap = max(1, _BLOCK_ELEMENTS // (2 * max(rows + 1, anchors * per_anchor)))
+    count = -(-n // cap)
+    edges = [n * c // count for c in range(count + 1)]
+    chunks = list(zip(edges[:-1], edges[1:]))
+    widest = max(hi - lo for lo, hi in chunks)
+    x_anchor = x0 + np.arange(anchors) * (per_anchor * rows) * h
+    # numpy multiplies a one-element complex array by the textbook formula
+    # and longer ones with fused multiply-adds, so with a chunk of one
+    # feature the maps go one at a time.
+    per_map = max(2 * widest * max(rows + 1, anchors * per_anchor), blocks * rows)
+    if min(hi - lo for lo, hi in chunks) == 1:
+        per_map = _BLOCK_ELEMENTS
+    w_sq_sum = np.zeros(maps)
+    for g in _map_groups(maps, per_map, _BLOCK_ELEMENTS):
+        size = w[g].shape[0]
+        sums = np.empty((size, blocks, rows))
+        for lo, hi in chunks:
+            wc, width = w[g, lo:hi], hi - lo
+            w_sq = np.square(wc)
+            w_sq_sum[g] += w_sq.sum(axis=1)
+            # Every table keeps the maps and features on its last two axes,
+            # so each elementwise pass runs over whole (maps, features) rows.
+            # Phases exp(i phi): phi = 2 h w steps a row, and the anchors'
+            # phi = -2 (w x + b) gives the block starts conjugated.
+            phi = np.empty((1 + anchors, size, width))
+            np.multiply(wc, -h, out=phi[0])
+            np.multiply(x_anchor[:, None, None], wc, out=phi[1:])
+            phi[1:] += b[g, lo:hi]
+            phi *= -2.0
+            cis = np.empty(phi.shape, dtype=complex)
+            np.cos(phi, out=cis.real)
+            np.sin(phi, out=cis.imag)
+            # powers[k] = exp(2i k h w) for the rows of a block, and one more
+            # row, which carries a block start to the next.
+            powers = np.empty((rows + 1, size, width), dtype=complex)
+            powers[0] = 1.0
+            _fill_powers(powers, cis[0])
+            # starts[a, s] = w^2 exp(-2i t) at grid row (a per_anchor + s) rows.
+            starts = np.empty((anchors, per_anchor, size, width), dtype=complex)
+            np.multiply(cis[1:], w_sq, out=starts[:, 0])
+            _fill_powers(starts.swapaxes(0, 1), np.conj(powers[rows]))
+            # Re(z c) = z.re c.re - z.im c.im is a dot product of the float
+            # views of z and conj(c): one real gemm per map.
+            part = np.matmul(
+                starts.reshape(-1, size, width)[:blocks].transpose(1, 0, 2).view(float),
+                powers[:rows].transpose(1, 0, 2).view(float).transpose(0, 2, 1),
+                out=sums if lo == 0 else None)
+            if lo > 0:
+                sums += part
+        np.subtract(w_sq_sum[g, None], sums.reshape(size, -1)[:, :n_points], out=out[g])
+    half_a_sq = 0.5 * amp * amp
+    out *= half_a_sq
+    eps = _cancellation_bound(widest, len(chunks))
+    cancelled = ~(out.max(axis=1) > half_a_sq * w_sq_sum * (eps / _DOUBLE_ANGLE_RTOL))
+    np.maximum(out, 0.0, out=out)
+    return cancelled
 
 
 def default_grid_1d() -> np.ndarray:

@@ -41,6 +41,17 @@ __all__ = [
 
 
 @dataclass(frozen=True)
+class _SquaredDerivative:
+    """``u -> derivative(u)**2``, the ``slope_sq`` an :class:`Activation`
+    derives when none is given."""
+
+    derivative: Callable[[np.ndarray], np.ndarray]
+
+    def __call__(self, u):
+        return self.derivative(u) ** 2
+
+
+@dataclass(frozen=True)
 class Activation:
     """Scalar nonlinearity with derivative and Lipschitz data.
 
@@ -48,10 +59,11 @@ class Activation:
     (the non-differentiable set), which keeps directional derivatives
     measurable everywhere.  ``sine_amplitude`` is ``a`` when
     ``derivative(u) = -a sin(u)``, and ``None`` otherwise; the grid
-    estimator then computes sines by phase rotation.
+    estimator then reads its norms off the double-angle identity.
     ``slope_sq`` is ``u -> s'(u)**2``, the one definition of the squared
     slope that the grid estimator and the curvature profile read; left
-    unset it squares ``derivative``, and one given must keep those bits.
+    unset it squares ``derivative`` and follows it through
+    ``dataclasses.replace``; one given must keep those bits.
     ``slope_sq_integral`` is ``S(u)``, the integral of ``slope_sq``
     from 0 to ``u``, or ``None``; a uniform bias needs it.
     """
@@ -66,9 +78,8 @@ class Activation:
     slope_sq: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
-        if self.slope_sq is None:
-            derivative = self.derivative
-            object.__setattr__(self, "slope_sq", lambda u: derivative(u) ** 2)
+        if self.slope_sq is None or isinstance(self.slope_sq, _SquaredDerivative):
+            object.__setattr__(self, "slope_sq", _SquaredDerivative(self.derivative))
 
 
 def scaled_cosine(kappa0: float = 1.0) -> Activation:

@@ -28,15 +28,15 @@ SWEEP = ["quantile-sweep", "--n-list", "8,16,32", "--realizations", "12",
 
 GAUSSIAN_SWEEP = (
     "N,t_hat,quantile_index,lip_hat_mean,lip_hat_sd\n"
-    "8,0.43327428946842517,11,1.149854578826603,0.27437755012347781\n"
-    "16,0.37407614428451774,11,1.1338151316339002,0.15152315610887934\n"
-    "32,0.35511537549498118,11,1.1660178183781928,0.16221616726761115\n")
+    "8,0.43327428946842605,11,1.149854578826603,0.27437755012347759\n"
+    "16,0.37407614428451508,11,1.1338151316338998,0.15152315610887887\n"
+    "32,0.35511537549498118,11,1.1660178183781931,0.16221616726761098\n")
 
 MATERN_SWEEP = (
     "N,t_hat,quantile_index,lip_hat_mean,lip_hat_sd\n"
-    "8,1.017214572240978,11,1.7612528779444887,0.53064819901060345\n"
-    "16,0.71964073557835717,11,1.7000111971241079,0.48702582690789958\n"
-    "32,1.0850129591946278,11,1.7892393645160096,0.50119662143489196\n")
+    "8,1.0172145722409776,11,1.7612528779444867,0.53064819901060278\n"
+    "16,0.71964073557835762,11,1.7000111971241074,0.48702582690789992\n"
+    "32,1.0850129591946323,11,1.7892393645160105,0.50119662143489263\n")
 
 RELU_SWEEP = (
     "N,t_hat,quantile_index,lip_hat_mean,lip_hat_sd\n"
@@ -45,12 +45,12 @@ RELU_SWEEP = (
     "32,0.30395150891344513,11,0.80613326285799713,0.12799707588429826\n")
 
 GAUSSIAN_LOG = (
-    '{"N": 8, "t_hat": 0.43327428946842517, "quantile_index": 11, '
-    '"lip_hat_mean": 1.149854578826603, "lip_hat_sd": 0.2743775501234778}\n'
-    '{"N": 16, "t_hat": 0.37407614428451774, "quantile_index": 11, '
-    '"lip_hat_mean": 1.1338151316339002, "lip_hat_sd": 0.15152315610887934}\n'
+    '{"N": 8, "t_hat": 0.43327428946842605, "quantile_index": 11, '
+    '"lip_hat_mean": 1.149854578826603, "lip_hat_sd": 0.2743775501234776}\n'
+    '{"N": 16, "t_hat": 0.3740761442845151, "quantile_index": 11, '
+    '"lip_hat_mean": 1.1338151316338998, "lip_hat_sd": 0.15152315610887887}\n'
     '{"N": 32, "t_hat": 0.3551153754949812, "quantile_index": 11, '
-    '"lip_hat_mean": 1.1660178183781928, "lip_hat_sd": 0.16221616726761115}\n')
+    '"lip_hat_mean": 1.166017818378193, "lip_hat_sd": 0.16221616726761098}\n')
 
 
 def _run(argv, tmp_path, name="out.csv"):

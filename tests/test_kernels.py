@@ -35,6 +35,7 @@ from kerlip.kernels import (
     sample_weights,
     scaled_cosine,
     second_moment_status,
+    tanh_activation,
 )
 from kerlip.numerics import _bias_rule
 
@@ -90,6 +91,19 @@ class TestActivations:
                 got, want = np.asarray(act.slope_sq(arg)), np.asarray(act.derivative(arg) ** 2)
             assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+
+    def test_derived_slope_sq_follows_replace(self):
+        # The derived hook squares the derivative the copy holds; a given hook
+        # (ReLU's indicator) stays as it was given.
+        doubled = dataclasses.replace(tanh_activation(),
+                                      derivative=lambda u: 2.0 * np.ones_like(u))
+        assert doubled.slope_sq(0.5) == 4.0
+        assert np.array_equal(doubled.slope_sq(np.array([0.5, -3.0])), [4.0, 4.0])
+        act = relu()
+        kept = dataclasses.replace(act, derivative=lambda u: 2.0 * np.ones_like(u))
+        assert kept.slope_sq is act.slope_sq
+        tanh = tanh_activation()
+        assert dataclasses.replace(tanh) == tanh
 
     def test_derivative_zero_at_kinks(self):
         act = relu()

@@ -1,6 +1,7 @@
 """Tests for finite random feature maps and the empirical estimator."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -262,7 +263,7 @@ class TestBlockedEstimatorBitIdentity:
         sizes = {1, max(1, rows // 2), 2 * rows + 1, 2 * rows + 3}
         grids = [rng.uniform(-1.0, 1.0, size=(size, d)) for size in sorted(sizes)]
         if d == 1 and act.sine_amplitude is None:
-            # Cosine features on this uniform grid take the rotation route.
+            # Cosine features on this uniform grid take the double-angle route.
             grids.append(default_grid_1d())
         for grid in grids:
             value, argmax = empirical_lipschitz(fm, grid)
@@ -356,7 +357,7 @@ ROTATION_RTOL = 1e-12
 
 
 def _assert_matches_sin_route(fm, grid):
-    """Value and argmax of the rotation route against ``_one_shot_estimator``.
+    """Value and argmax of the double-angle route against ``_one_shot_estimator``.
 
     The reference runs on slices of 256 rows, which bounds its
     temporaries on large grids; near-ties may move the argmax, so the
@@ -371,8 +372,11 @@ def _assert_matches_sin_route(fm, grid):
     assert any(np.array_equal(argmax, point) for point in grid)
 
 
+ZERO_SPAN = np.zeros((20, 1))
+
+
 class TestRotationRoute:
-    """Cosine features on a uniform d=1 grid: phases by rotation, not np.sin."""
+    """Cosine features on a uniform d=1 grid: the double-angle route, not np.sin."""
 
     @pytest.mark.parametrize("n", [1, 7, 16, 255, 1024, 4096])
     def test_default_grid_matches_sin_route(self, n):
@@ -393,6 +397,38 @@ class TestRotationRoute:
         fm = build_feature_map(dist, UNIFORM_PHASE, scaled_cosine(kappa0), n, seed)
         grid = np.linspace(x0, x0 + span, n_points)[:, None]
         _assert_matches_sin_route(fm, grid)
+
+    @pytest.mark.parametrize("w, b, grid", [
+        (1e-3, 1e-4, default_grid_1d()),
+        (1.0, np.pi, ZERO_SPAN),
+        (0.5, 3.14159, ZERO_SPAN),
+        (1e-2, 1e-6, default_grid_1d()),
+        (-1.7, 0.0, default_grid_1d()),
+        (0.5, 0.49, default_grid_1d()),
+    ], ids=["w1e-3_b1e-4", "w1_bpi_zero_span", "w0.5_b3.14159_zero_span", "w1e-2_b1e-6",
+            "zero_at_x0", "zero_at_x-0.98"])
+    def test_vanishing_sines_match_sin_route(self, w, b, grid):
+        # Where every sine is near 0, sum w^2 - Re sum w^2 exp(2i t) cancels
+        # and the map must take the np.sin route; where one grid point is a
+        # zero of the sine, its norm^2 may round below 0 and must read 0.
+        # Neither may raise a RuntimeWarning.
+        fm = RandomFeatureMap(np.array([[w]]), np.array([b]), scaled_cosine())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            _assert_matches_sin_route(fm, grid)
+
+    def test_cancelling_map_keeps_its_bits_in_a_stack(self):
+        # The first and last maps fall back to the np.sin route, the middle
+        # one does not; each has the bits it has alone.
+        weights = np.array([[[1e-3], [2e-3]], [[0.7], [-1.3]], [[1e-2], [-1e-2]]])
+        biases = np.array([[1e-4, 0.0], [0.4, 2.0], [np.pi, 1e-6]])
+        stack = RandomFeatureMap(weights, biases, scaled_cosine())
+        values, points = empirical_lipschitz(stack, default_grid_1d())
+        for m in range(3):
+            fm = RandomFeatureMap(weights[m], biases[m], scaled_cosine())
+            value, point = empirical_lipschitz(fm, default_grid_1d())
+            assert values[m] == value and np.array_equal(points[m], point)
+            _assert_matches_sin_route(fm, default_grid_1d())
 
     def test_route_needs_a_uniform_grid_of_two_points(self):
         grid = default_grid_1d()[:, 0]
