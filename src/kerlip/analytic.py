@@ -110,9 +110,14 @@ def _profile_1d(act: Activation, bias: BiasDistribution):
     b)^2] = D(u) = (S(u + c) - S(u + a)) / (c - a)``, with ``S`` the
     activation's ``slope_sq_integral``, which leaves the point-mass case
     with ``D`` for ``s'^2`` and kinks moved to ``k - c`` and ``k - a``.  The
-    rule is built once and rebuilt only when a call needs smaller or larger
-    scales.  At ``tau = 0`` with no bias spread, ``g = alpha = s'(0)^2`` (or
-    ``D(0)``) exactly.
+    difference rounds at about ``eps max |S(u + end)| / (c - a)`` per node; the
+    rule carries that level as a third column, and where its moment exceeds
+    ``LADDER_RTOL max(1, |value|)`` at some ``tau``, for ``g`` or ``alpha``,
+    :class:`NumericalFailureError` is raised.  The rule is built once and
+    rebuilt only when a call needs smaller or larger scales, from that call's
+    scales alone once the union would pass ``numerics.MAX_SCALE_SPAN``; a call
+    whose own scales pass it is taken in a lower and an upper half.  At
+    ``tau = 0`` with no bias spread, ``g = alpha = s'(0)^2`` (or ``D(0)``) exactly.
     """
     if bias.family != "uniform":
         sd, kinks, rounding, slope_sq = bias.sd, act.kinks, None, act.slope_sq
@@ -127,11 +132,12 @@ def _profile_1d(act: Activation, bias: BiasDistribution):
         def slope_sq(u):
             return (integral(u + c) - integral(u + a)) / (c - a)
 
-        def rounding(extent):
-            # S rises with u, so |S| on [a - extent, c + extent] peaks at an end.
-            with np.errstate(over="ignore", invalid="ignore"):
-                ends = np.abs(integral(np.array([a - extent, c + extent])))
-            return float(np.finfo(float).eps * ends.max() / (c - a))
+        def rounding(u):
+            # Each S(u + end) rounds at about eps |S(u + end)|, which D divides by
+            # c - a.  cos's S cancels near 0 and rounds at eps |u| there; the
+            # halving test takes the largest level of the rule, which covers that.
+            ends = np.maximum(np.abs(integral(u + c)), np.abs(integral(u + a)))
+            return np.finfo(float).eps * ends / (c - a)
 
     s_min, s_max, rule = math.inf, 0.0, None
 
@@ -141,15 +147,33 @@ def _profile_1d(act: Activation, bias: BiasDistribution):
         alpha = g.copy()
         with np.errstate(over="ignore"):
             scale = np.hypot(tau, sd)
-        spread = scale > 0.0
-        if spread.any():
+        parts = [scale > 0.0]
+        while parts:
+            spread = parts.pop()
             s = scale[spread]
-            if s.min() < s_min or s.max() > s_max:
-                s_min, s_max = min(s_min, float(s.min())), max(s_max, float(s.max()))
+            if s.size == 0:
+                continue
+            lo, hi = float(s.min()), float(s.max())
+            if lo * numerics.MAX_SCALE_SPAN < hi < math.inf:  # no one rule holds them
+                low = scale <= math.sqrt(lo) * math.sqrt(hi)
+                parts += [spread & low, spread & ~low]
+                continue
+            if lo < s_min or hi > s_max:
+                s_min, s_max = min(s_min, lo), max(s_max, hi)
+                if s_max > numerics.MAX_SCALE_SPAN * s_min:  # start again from these scales
+                    s_min, s_max = lo, hi
                 rule = numerics.panel_rule(slope_sq, kinks, s_min, s_max, rounding)
-            alpha[spread], m2 = numerics.gaussian_moments(*rule, s)
-            g[spread] = ((sd / s)[:, None] ** 2 * alpha[spread]
-                         + (tau[spread] / s)[:, None] ** 2 * m2)
+            m0, m2 = numerics.gaussian_moments(*rule, s)
+            nu = (sd / s)[:, None] ** 2 * m0 + (tau[spread] / s)[:, None] ** 2 * m2
+            if rounding is not None:  # a third column bounds each moment's rounding
+                for name, moment in (("nu / gamma^2", nu), ("alpha", m0)):
+                    loose = ~(moment[:, 2] <= numerics.LADDER_RTOL * np.maximum(1.0, np.abs(moment[:, 0])))
+                    if loose.any():
+                        at = int(np.argmax(loose))
+                        raise NumericalFailureError(
+                            f"the integrand rounds at {moment[at, 2]:.3g} at r gamma = "
+                            f"{tau[spread][at]:.6g}, against {name} = {moment[at, 0]:.6g}")
+            alpha[spread], g[spread] = m0[:, :2], nu[:, :2]
         return g, alpha
 
     return profile
@@ -191,7 +215,8 @@ def nu_function(act: Activation, gamma: float, bias: BiasDistribution,
     for isotropic Gaussian weights.  It is ``gamma^2 g(r gamma)``, on the
     gamma-free 1-D route of :func:`rnn_lipschitz`, and raises
     :class:`NumericalFailureError` when ``r gamma`` overflows, or when the two
-    panel orders of ``g``, or of the ``alpha`` of :func:`alpha_beta`, disagree.
+    panel orders of ``g``, or of the ``alpha`` of :func:`alpha_beta`, disagree
+    or a uniform bias's rounding bound on either is too large.
     """
     return _nu_alpha(act, gamma, bias, r)[0]
 
@@ -213,10 +238,11 @@ def rnn_lipschitz(act: Activation, gamma: float, bias: BiasDistribution,
     r_domain``; ``tol`` is in ``tau``.  The 2-D quadrature ladder at ``gamma =
     1``, which shares no code with the 1-D route, certifies ``g`` at the
     argmax.  A :class:`NumericalFailureError` is raised when ``gamma
-    r_domain`` overflows; when the 1-D error estimate at any scanned ``tau``,
-    the ladder's at the argmax, or the gap between the routes there is not
-    below ``LADDER_RTOL max(1, g)``; and, on the default domain, when the
-    best grid point is the last one, since the supremum may lie beyond it.
+    r_domain`` overflows; when the 1-D error estimate or rounding bound at
+    any scanned ``tau``, the ladder's error at the argmax, or the gap between
+    the routes there is not below ``LADDER_RTOL max(1, g)``; and, on the
+    default domain, when the best grid point is the last one, since the
+    supremum may lie beyond it.
     No test depends on gamma, so the value scales with gamma to one rounding.
     ``argmax_r`` is ``tau / gamma``, clipped into a given domain; the error
     estimate is the larger of the 1-D estimate and that gap, on the scale of
@@ -417,7 +443,9 @@ def hessian_lipschitz_oracle(kernel: ShiftInvariantKernel,
     finite differences are off by about ``h**(2 (nu - 1))`` relative; where
     that exceeds 1e-2, the gap the crosscheck allows, a
     :class:`NumericalFailureError` is raised, as it is for a non-finite
-    Hessian.
+    Hessian.  The error estimate is the gap to the coarse step's value; for
+    Matern ``nu`` below about 1.34 it is scaled up to the share of the
+    ``h**(2 nu - 2)`` term that the Richardson step leaves in the value.
     """
     law = kernel.spectral
     if second_moment_status(law) is None:
@@ -448,8 +476,14 @@ def hessian_lipschitz_oracle(kernel: ShiftInvariantKernel,
             f"the finite-difference Hessian of 1 - kappa is not finite: {rich.tolist()}")
     value = math.sqrt(max(numerics.sym_eig_max(rich), 0.0))
     coarse_value = math.sqrt(max(numerics.sym_eig_max(coarse), 0.0))
-    return LipschitzReport(value=value, method="thm41-hessian-fd",
-                           error_estimate=abs(value - coarse_value))
+    error = abs(value - coarse_value)
+    if nu is not None:
+        # The Richardson step leaves the h^(2 nu - 2) term of q^nu: with a = 2^(2 - 2 nu)
+        # it carries (4a - 1) / 3 of it into the value and (4a - 4) / 3 into the gap to
+        # the coarse value, which is the smaller share for nu below about 1.34.
+        a = 2.0 ** (2.0 - 2.0 * nu)
+        error *= max(1.0, abs(4.0 * a - 1.0) / abs(4.0 * a - 4.0))
+    return LipschitzReport(value=value, method="thm41-hessian-fd", error_estimate=error)
 
 
 def diagonal_curvature_oracle(k, x: np.ndarray, z: np.ndarray,

@@ -5,6 +5,7 @@ norms and finite-difference derivative oracles.  Everything here is pure
 and deterministic, so concurrent use is safe.
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -40,12 +41,19 @@ _PANEL_ORDERS = (32, 16)
 _MAX_PANELS = 16384
 
 #: :func:`gaussian_moments` takes scales 8 at a time and nodes 4,096 at a
-#: time, so each temporary is 256 KiB.  Nodes beyond 12 scales (weight
-#: below 1e-30) or within 1e-12 of one scale of 0 are left out.
+#: time, so its density buffer is 256 KiB.  Nodes beyond 12 scales (weight
+#: below 1e-30) or within 1e-12 of one scale of 0 are left out.  Each block
+#: forms t^2 = (u / s)^2 as ``(R / s)^2`` times the rule's ``(u / R)^2``, with
+#: ``R`` a power of two at the rule's reach, so its nodes need no division.
 _SCALE_BLOCK = 8
 _NODE_CHUNK = 4096
 _TAIL_SCALES = 12.0
 _CORE_SCALES = 1e-12
+
+#: Largest ``s_max / s_min`` that one :func:`panel_rule` holds: ``(R / s)^2``
+#: stays below 2^512 at every scale, so it is finite and the rule's
+#: ``(u / R)^2`` keeps the rest of the exponent range.
+MAX_SCALE_SPAN = 2.0 ** 250
 
 
 @dataclass(frozen=True)
@@ -202,8 +210,7 @@ def _panel_nodes(edges: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (edges[1:] + edges[:-1])[:, None] + half * nodes, half * weights
 
 
-def panel_rule(f, kinks, s_min: float, s_max: float,
-               rounding=None) -> tuple[np.ndarray, np.ndarray]:
+def panel_rule(f, kinks, s_min: float, s_max: float, rounding=None):
     """Legendre panels in u for Gaussian moments of ``f`` at scales in
     ``[s_min, s_max]`` (see :func:`gaussian_moments`).
 
@@ -214,67 +221,84 @@ def panel_rule(f, kinks, s_min: float, s_max: float,
     of 1e-13 ``max |f|`` and the rounding level of ``f`` is halved, until
     none does or the rule would pass 16,384 panels; the error estimate of
     :func:`gaussian_moments` then shows what is left unresolved.
-    ``rounding``, if given, maps the rule's reach ``12 s_max`` to that
-    level (0 otherwise); a level above ``LADDER_RTOL max |f|`` raises
-    :class:`NumericalFailureError`.  Returns the sorted ``|u|`` of every
-    node and its ``(n, 2)`` weights times ``f(u)``: the 32-node rule's
-    column, then the 16-node rule's, each zero at the other rule's nodes.
+    ``rounding``, if given, maps nodes to the rounding level of ``f`` there;
+    the halving test takes its largest value (0 without it).  Scales more
+    than ``MAX_SCALE_SPAN`` apart raise :class:`NumericalFailureError`.
+
+    Returns ``(|u|, column, weights, R)`` for the nodes out to ``12 s_max``,
+    sorted by ``|u|``: ``R`` is the power of two in ``(6 s_max, 12 s_max]``,
+    ``column`` is ``-(u / R)^2 / 2`` and ``weights`` is ``(n, 2k)``: the 32-node
+    rule's weights times ``f(u)``, the 16-node rule's (each zero at the other
+    rule's nodes) and, with ``rounding``, the 32-node weights times the
+    rounding level, then the same ``k`` columns times ``(u / R)^2``.  As
+    ``(u / R)^2 < 4``, no product overflows where ``f`` times a weight does not.
     """
     extent = _TAIL_SCALES * s_max
     edges = _panel_edges(s_min, extent, kinks)
-    noise = 0.0 if rounding is None else rounding(extent)
+    if not s_max / MAX_SCALE_SPAN <= s_min:
+        raise NumericalFailureError(
+            f"one u-rule cannot hold scales from {s_min:.3g} to {s_max:.3g}")
     while True:
         rules = [_panel_nodes(edges, n) for n in _PANEL_ORDERS]
         values = [np.asarray(f(u), dtype=float) for u, _ in rules]
         sums = [np.sum(w * v, axis=1) for (_, w), v in zip(rules, values)]
         scale = max(float(np.max(np.abs(v))) for v in values)
-        if not noise <= LADDER_RTOL * scale:  # NaN too
-            raise NumericalFailureError(
-                f"the integrand rounds at {noise:.3g} out to |u| = {extent:.3g}, "
-                f"against its largest value {scale:.3g}")
+        noise = 0.0 if rounding is None else max(float(np.max(rounding(u))) for u, _ in rules)
         unresolved = np.abs(sums[0] - sums[1]) > 1e-13 * np.diff(edges) * max(scale, 1e13 * noise)
         if not unresolved.any() or edges.size + np.count_nonzero(unresolved) > _MAX_PANELS:
             break
         middles = 0.5 * (edges[1:] + edges[:-1])
         edges = np.sort(np.concatenate([edges, middles[unresolved]]))
-    u = np.concatenate([rule[0].ravel() for rule in rules])
-    weights = np.zeros((u.size, 2))
-    split = rules[0][0].size
-    weights[:split, 0] = (rules[0][1] * values[0]).ravel()
-    weights[split:, 1] = (rules[1][1] * values[1]).ravel()
+    (u_32, w_32), (u_16, w_16) = rules
+    u = np.concatenate([u_32.ravel(), u_16.ravel()])
+    split = u_32.size
+    columns = 2 if rounding is None else 3
+    weights = np.zeros((u.size, 2 * columns))
+    weights[:split, 0] = (w_32 * values[0]).ravel()
+    weights[split:, 1] = (w_16 * values[1]).ravel()
+    if rounding is not None:
+        weights[:split, 2] = (w_32 * rounding(u_32)).ravel()
     order = np.argsort(np.abs(u), kind="stable")
-    return np.abs(u)[order], weights[order]
+    abs_u = np.abs(u)[order]
+    kept = np.searchsorted(abs_u, extent, side="right")  # no scale of the rule reaches further
+    abs_u, weights = abs_u[:kept], weights[order[:kept]]
+    reach = math.ldexp(0.5, math.frexp(extent)[1])
+    ratio_sq = np.square(abs_u / reach)
+    np.multiply(weights[:, :columns], ratio_sq[:, None], out=weights[:, columns:])
+    return abs_u, -0.5 * ratio_sq, weights, reach
 
 
-def gaussian_moments(abs_u: np.ndarray, weights: np.ndarray,
-                     scales: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def gaussian_moments(abs_u: np.ndarray, column: np.ndarray, weights: np.ndarray,
+                     reach: float, scales: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Zeroth and second Gaussian moments of a :func:`panel_rule`, per scale.
 
-    For each scale ``s > 0`` and weight column ``k``, the moments are
-    ``sum_j weights[j, k] phi(t_j) / s * (1, t_j^2)`` with ``t_j = |u_j| / s``
-    and ``phi`` the standard normal density.  Returns two
-    ``(len(scales), 2)`` arrays.
+    For each scale ``s > 0`` and each of the first ``k`` weight columns
+    ``w``, the moments are ``sum_j w_j phi(t_j) / s * (1, t_j^2)`` with
+    ``t_j = |u_j| / s`` and ``phi`` the standard normal density.  As
+    ``t_j^2 = (R / s)^2 (u_j / R)^2``, a block of scales takes one outer
+    product of ``(R / s)^2`` with ``column`` into its density buffer, one
+    ``exp`` and one gemm against all ``2k`` columns; the second half comes
+    out as ``sum_j w_j phi(t_j) (u_j / R)^2``, so it is scaled by ``(R / s)^2``
+    at the end.  Returns two ``(len(scales), k)`` arrays.
     """
-    m0 = np.zeros((scales.size, weights.shape[1]))
-    m2 = np.zeros_like(m0)
+    moments = np.zeros((scales.size, weights.shape[1]))
+    half = weights.shape[1] // 2
+    density = np.empty((_SCALE_BLOCK, _NODE_CHUNK))
     for lo in range(0, scales.size, _SCALE_BLOCK):
         s = scales[lo:lo + _SCALE_BLOCK]
-        inverse = (1.0 / s)[:, None]
+        ratio_sq = np.square(reach / s)
         first = np.searchsorted(abs_u, _CORE_SCALES * s.min())
         last = np.searchsorted(abs_u, _TAIL_SCALES * s.max(), side="right")
         for start in range(first, last, _NODE_CHUNK):
             stop = min(start + _NODE_CHUNK, last)
-            t_sq = abs_u[start:stop] * inverse
-            np.minimum(t_sq, 40.0, out=t_sq)  # phi(40) is 0 in floats; 40^2 is finite
-            np.square(t_sq, out=t_sq)
-            density = np.multiply(t_sq, -0.5)
-            np.exp(density, out=density)
-            m0[lo:lo + _SCALE_BLOCK] += density @ weights[start:stop]
-            m2[lo:lo + _SCALE_BLOCK] += np.multiply(density, t_sq, out=t_sq) @ weights[start:stop]
-        norm = inverse / np.sqrt(2.0 * np.pi)
-        m0[lo:lo + _SCALE_BLOCK] *= norm
-        m2[lo:lo + _SCALE_BLOCK] *= norm
-    return m0, m2
+            block = np.multiply.outer(ratio_sq, column[start:stop],
+                                      out=density[:s.size, :stop - start])
+            np.exp(block, out=block)
+            moments[lo:lo + _SCALE_BLOCK] += block @ weights[start:stop]
+        norm = (1.0 / s)[:, None] / np.sqrt(2.0 * np.pi)
+        moments[lo:lo + _SCALE_BLOCK, :half] *= norm
+        moments[lo:lo + _SCALE_BLOCK, half:] *= norm * ratio_sq[:, None]
+    return moments[:, :half], moments[:, half:]
 
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0

@@ -40,9 +40,9 @@ MATERN_SWEEP = (
 
 RELU_SWEEP = (
     "N,t_hat,quantile_index,lip_hat_mean,lip_hat_sd\n"
-    "8,0.35144572244816408,11,0.79329408447807659,0.17974852188461227\n"
-    "16,0.27632826385383435,11,0.80807766684872817,0.13645202689202418\n"
-    "32,0.30395150891344513,11,0.80613326285799713,0.12799707588429826\n")
+    "8,0.35144572244816419,11,0.79329408447807659,0.17974852188461227\n"
+    "16,0.27632826385383447,11,0.80807766684872817,0.13645202689202418\n"
+    "32,0.30395150891344525,11,0.80613326285799713,0.12799707588429826\n")
 
 GAUSSIAN_LOG = (
     '{"N": 8, "t_hat": 0.43327428946842605, "quantile_index": 11, '
@@ -82,8 +82,8 @@ def test_analytic(tmp_path, capsys):
     out = _run(["analytic", "--activation", "relu", "--bias", "gaussian:1"],
                tmp_path)
     assert out == ("method,value,argmax_r,error_estimate\n"
-                   "thm34-quadrature,0.70710678118654846,3.7731214867654836,"
-                   "2.7084094912295082e-15\n"), BLAS
+                   "thm34-quadrature,0.70710678118654835,3.8846312804309728,"
+                   "2.6691571797624143e-15\n"), BLAS
 
 
 UNIFORM_PHASE = "uniform:0:6.283185307179586"
@@ -93,7 +93,7 @@ UNIFORM_PHASE = "uniform:0:6.283185307179586"
     ("relu", UNIFORM_PHASE, "1,0,2.2204460492503131e-16"),
     ("tanh", "gaussian:1", "0.68147113104537904,0,1.6291563560764059e-16"),
     ("cos", UNIFORM_PHASE,
-     "1.0000000000000007,3.0025341528929754,1.609823385706476e-15"),
+     "1.0000000000000027,3.744390543403656,2.4424906541753381e-15"),
 ])
 def test_analytic_other_settings(activation, bias, row, tmp_path, capsys):
     out = _run(["analytic", "--activation", activation, "--bias", bias],

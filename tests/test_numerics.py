@@ -9,24 +9,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from kerlip.analytic import _kink_locator
+from kerlip.analytic import _kink_locator, _profile_1d
 from kerlip.errors import InvalidArgumentError, NumericalFailureError
 from kerlip.kernels import (
     Activation,
     BiasDistribution,
     gaussian_kernel,
+    identity,
     kappa_eval,
     matern_kernel,
     relu,
+    scaled_cosine,
+    tanh_activation,
 )
 from kerlip.numerics import (
+    DEFAULT_SCAN_POINTS,
+    MAX_SCALE_SPAN,
     _bias_rule,
     _gaussian_pdf,
     _leggauss,
     expectation_2d,
     expectation_2d_adaptive,
+    gaussian_moments,
     hessian_fd,
     maximize_scalar,
+    panel_rule,
     spectral_norm,
     sym_eig_max,
 )
@@ -244,6 +251,104 @@ class TestKinkSplit:
                 kinks = _kink_locator(act, r)
                 args = (f, gamma, bias, (order, order), kinks)
                 assert expectation_2d(*args) == _per_node_split(*args), (gamma, r)
+
+
+def _moments_by_division(abs_u, weights, scales):
+    """The moments of a rule's ``(n, 2)`` weights as ``t = |u| / s`` per node, clamped
+    at 40 where ``phi`` is 0 in floats, in blocks of 8 scales and the same node cuts."""
+    m0, m2 = np.zeros((scales.size, 2)), np.zeros((scales.size, 2))
+    for lo in range(0, scales.size, 8):
+        s = scales[lo:lo + 8]
+        inverse = (1.0 / s)[:, None]
+        first = np.searchsorted(abs_u, 1e-12 * s.min())
+        last = np.searchsorted(abs_u, 12.0 * s.max(), side="right")
+        t_sq = np.square(np.minimum(abs_u[first:last] * inverse, 40.0))
+        density = np.exp(-0.5 * t_sq)
+        norm = inverse / np.sqrt(2.0 * np.pi)
+        m0[lo:lo + 8] = density @ weights[first:last] * norm
+        m2[lo:lo + 8] = (density * t_sq) @ weights[first:last] * norm
+    return m0, m2
+
+
+def _uniform_slope_sq(act, a, c):
+    integral = act.slope_sq_integral
+    return lambda u: (integral(u + c) - integral(u + a)) / (c - a)
+
+
+class TestGaussianMoments:
+    """:func:`panel_rule` and :func:`gaussian_moments`: t^2 = (R / s)^2 (u / R)^2."""
+
+    # s'^2 = 1 gives E[1] = E[t^2] = 1; ReLU's indicator gives half of each.
+    # Nodes within 1e-12 s of 0 are left out, which takes up to 2 phi(0) 1e-12
+    # = 8e-13 of the mass off m0 once the rule has nodes there: at scales
+    # above about 1e9, where its panels near 0 are 0.5 wide.
+    @pytest.mark.parametrize("f, kinks, expected", [
+        (lambda u: np.ones_like(u), (), 1.0),
+        (relu().slope_sq, (0.0,), 0.5),
+    ], ids=["one", "relu"])
+    @pytest.mark.parametrize("exponent", range(-300, 301, 25))
+    def test_closed_forms_over_magnitudes(self, f, kinks, expected, exponent):
+        scales = 10.0**exponent * np.array([1.0, 1.7, 3.0, 10.0, 40.0])
+        rule = panel_rule(f, list(kinks), scales.min(), scales.max())
+        m0, m2 = gaussian_moments(*rule, scales)
+        assert m0.shape == m2.shape == (scales.size, 2)
+        assert_allclose(m0, expected, rtol=1e-14 if exponent <= 0 else 1e-12)
+        assert_allclose(m2, expected, rtol=1e-14)
+
+    def test_rule_layout(self):
+        abs_u, column, weights, reach = panel_rule(np.cos, [], 0.3, 2.0)
+        assert np.all(np.diff(abs_u) >= 0.0)
+        assert reach == 16.0  # the power of two in (6 s_max, 12 s_max]
+        assert_allclose(column, -0.5 * (abs_u / reach) ** 2, rtol=0, atol=0)
+        assert weights.shape == (abs_u.size, 4)
+        assert_allclose(weights[:, 2:], weights[:, :2] * (abs_u / reach)[:, None] ** 2, rtol=1e-15)
+        # Each rule's column is zero at the other rule's nodes.
+        assert not np.any((weights[:, 0] != 0.0) & (weights[:, 1] != 0.0))
+
+    def test_rounding_column(self):
+        rounding = lambda u: 1e-20 * (1.0 + np.abs(u))  # noqa: E731
+        abs_u, _, weights, reach = panel_rule(np.cos, [], 0.5, 1.0, rounding)
+        assert weights.shape == (abs_u.size, 6)
+        assert np.all((weights[:, 2] == 0.0) == (weights[:, 0] == 0.0))
+        m0, m2 = gaussian_moments(abs_u, _, weights, reach, np.array([0.5, 1.0]))
+        # E[1 + |u|] and E[t^2 (1 + |u|)] for u ~ N(0, s^2).
+        s = np.array([0.5, 1.0])
+        assert_allclose(m0[:, 2], 1e-20 * (1.0 + s * np.sqrt(2.0 / np.pi)), rtol=1e-13)
+        assert_allclose(m2[:, 2], 1e-20 * (1.0 + 2.0 * s * np.sqrt(2.0 / np.pi)), rtol=1e-13)
+
+    # The profile keeps one rule for every scale it has met, and starts again
+    # from a call's own scales once they would span more than MAX_SCALE_SPAN;
+    # a call whose own scales span more is taken in halves.
+    @pytest.mark.parametrize("act, expected", [(identity(), 1.0), (relu(), 0.5)],
+                             ids=["identity", "relu"])
+    def test_rule_rebuilt_across_decades(self, act, expected):
+        profile = _profile_1d(act, BiasDistribution.point_mass())
+        for exponent in (0, -5, 6, -60, 80, -150, 150, -300, 300, 2, -2):
+            tau = 10.0**exponent * np.array([0.5, 1.0, 2.0])
+            g, alpha = profile(tau)
+            assert_allclose(g, expected, rtol=1e-14)
+            assert_allclose(alpha, expected, rtol=1e-14 if exponent <= 0 else 1e-12)  # the core cut
+        g, alpha = profile(np.array([0.0, 1e-300, 1e-100, 1.0, 1e100, 1e300]))
+        assert_allclose(g[1:], expected, rtol=1e-14)
+        assert_allclose(alpha[1:], expected, rtol=1e-12)
+
+    def test_span_refused(self):
+        with pytest.raises(NumericalFailureError, match="cannot hold scales"):
+            panel_rule(np.cos, [], 1e-100, 1e-100 * MAX_SCALE_SPAN * 2.0)
+
+    # The three rules of the exact workload at every scale of its scan.
+    @pytest.mark.parametrize("f, kinks, scales", [
+        (_uniform_slope_sq(scaled_cosine(), 0.0, 2.0 * np.pi), [],
+         np.linspace(0.0, 10.0 * (1.0 + 2.0 * np.pi / np.sqrt(12.0)), DEFAULT_SCAN_POINTS)[1:]),
+        (relu().slope_sq, [0.0], np.hypot(np.linspace(0.0, 20.0, DEFAULT_SCAN_POINTS), 1.0)),
+        (tanh_activation().slope_sq, [], np.hypot(np.linspace(0.0, 20.0, DEFAULT_SCAN_POINTS), 1.0)),
+    ], ids=["cos-phase", "relu-gaussian", "tanh-gaussian"])
+    def test_matches_division_by_each_scale(self, f, kinks, scales):
+        abs_u, column, weights, reach = panel_rule(f, kinks, scales.min(), scales.max())
+        m0, m2 = gaussian_moments(abs_u, column, weights, reach, scales)
+        ref0, ref2 = _moments_by_division(abs_u, weights[:, :2], scales)
+        assert_allclose(m0, ref0, rtol=1e-13)
+        assert_allclose(m2, ref2, rtol=1e-13)
 
 
 class TestMaximizeScalar:
