@@ -88,11 +88,16 @@ def _kink_locator(act: Activation, r: float):
 
 
 def _nu_with_error(act: Activation, bias: BiasDistribution, tau: float) -> tuple[float, float]:
-    """``g(tau)`` of :func:`_profile_1d` on the 2-D ladder: ``nu(tau)`` at ``gamma = 1``."""
+    """``g(tau)`` of :func:`_profile_1d` on the 2-D ladder: ``nu(tau)`` at ``gamma = 1``.
+
+    A uniform bias law is cut at the activation's kinks, where ``s'(zeta tau + b)^2``
+    jumps in ``b`` at small ``tau``.
+    """
     def f(zeta, b):
         return zeta**2 * act.slope_sq(zeta * tau + b)
 
-    return numerics.expectation_2d_adaptive(f, 1.0, bias, _kink_locator(act, tau))
+    return numerics.expectation_2d_adaptive(f, 1.0, bias, _kink_locator(act, tau),
+                                            bias_cuts=act.kinks)
 
 
 def _profile_1d(act: Activation, bias: BiasDistribution):
@@ -114,10 +119,15 @@ def _profile_1d(act: Activation, bias: BiasDistribution):
     rule carries that level as a third column, and where its moment exceeds
     ``LADDER_RTOL max(1, |value|)`` at some ``tau``, for ``g`` or ``alpha``,
     :class:`NumericalFailureError` is raised.  The rule is built once and
-    rebuilt only when a call needs smaller or larger scales, from that call's
-    scales alone once the union would pass ``numerics.MAX_SCALE_SPAN``; a call
-    whose own scales pass it is taken in a lower and an upper half.  At
-    ``tau = 0`` with no bias spread, ``g = alpha = s'(0)^2`` (or ``D(0)``) exactly.
+    rebuilt only when a call needs smaller or larger scales.  A call below the
+    rule's smallest scale lowers it to the largest of 2^-32 of itself, the
+    call's largest scale over ``numerics.MAX_SCALE_SPAN`` and the smallest
+    normal float, or to the call's own smallest scale if that is lower, so
+    golden-section steps that creep towards 0 rebuild it rarely.  Once the
+    union would pass ``numerics.MAX_SCALE_SPAN``, the rule starts again from
+    that call's scales; a call whose own scales pass it is taken in a lower
+    and an upper half.  At ``tau = 0`` with no bias spread, ``g = alpha =
+    s'(0)^2`` (or ``D(0)``) exactly.
     """
     if bias.family != "uniform":
         sd, kinks, rounding, slope_sq = bias.sd, act.kinks, None, act.slope_sq
@@ -159,6 +169,9 @@ def _profile_1d(act: Activation, bias: BiasDistribution):
                 parts += [spread & low, spread & ~low]
                 continue
             if lo < s_min or hi > s_max:
+                if lo < s_min:  # descend far in one step: golden-section steps creep down
+                    floor = max(s_min * 2.0**-32, hi / numerics.MAX_SCALE_SPAN, np.finfo(float).tiny)
+                    lo = min(lo, floor)
                 s_min, s_max = min(s_min, lo), max(s_max, hi)
                 if s_max > numerics.MAX_SCALE_SPAN * s_min:  # start again from these scales
                     s_min, s_max = lo, hi

@@ -31,14 +31,14 @@ LADDER_RTOL = 1e-8
 DEFAULT_FD_STEP = 1e-4
 
 #: Layout of :func:`panel_rule`: Legendre panels of width 0.5 on
-#: ``[-20, 20]``, each one 1.25 times wider than the last beyond it, and
+#: ``[0, 20]``, each one 1.25 times wider than the last beyond it, and
 #: halving towards 0 down to the smallest Gaussian scale.  Two orders per
 #: panel; their difference is the error estimate.
 _PANEL_WIDTH = 0.5
 _PANEL_SPAN = 20.0
 _PANEL_GROWTH = 1.25
 _PANEL_ORDERS = (32, 16)
-_MAX_PANELS = 16384
+_MAX_PANELS = 8192
 
 #: :func:`gaussian_moments` takes scales 8 at a time and nodes 4,096 at a
 #: time, so its density buffer is 256 KiB.  Nodes beyond 12 scales (weight
@@ -87,15 +87,19 @@ _hermgauss = _cached_rule(np.polynomial.hermite.hermgauss)
 _leggauss = _cached_rule(np.polynomial.legendre.leggauss)
 
 
-def _bias_rule(bias, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and probability weights (summing to 1) for a bias law."""
+def _bias_rule(bias, n: int, cuts=()) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and probability weights (summing to 1) for a bias law.
+
+    A uniform law is cut at each of ``cuts`` inside its interval, with an
+    order-``n`` Legendre rule per piece; the other laws ignore ``cuts``.
+    """
     if not isinstance(bias, BiasDistribution):
         raise UnsupportedDistributionError(f"unsupported bias specification: {bias!r}")
     if bias.family == "uniform":
         a, b = bias.params
-        nodes, weights = _leggauss(n)
-        half = 0.5 * (b - a)
-        return half * nodes + 0.5 * (b + a), half * weights / (b - a)
+        edges = np.array([a, *sorted(k for k in cuts if a < k < b), b])
+        nodes, weights = _panel_nodes(edges, n)
+        return nodes.ravel(), weights.ravel() / (b - a)
     if bias.family == "gaussian":
         (sd,) = bias.params
         nodes, weights = _hermgauss(n)
@@ -108,7 +112,7 @@ def _gaussian_pdf(z: np.ndarray, gamma: float) -> np.ndarray:
 
 
 def expectation_2d(f, gamma: float, bias, orders: tuple[int, int],
-                   zeta_kinks=None) -> float:
+                   zeta_kinks=None, bias_cuts=()) -> float:
     """Tensor-product quadrature approximation of ``E[f(zeta, b)]``.
 
     ``zeta ~ N(0, gamma^2)`` and ``b`` follows the given bias law.  ``f``
@@ -120,7 +124,9 @@ def expectation_2d(f, gamma: float, bias, orders: tuple[int, int],
     mass < 1e-20).  Hermite rules converge slowly across kinks.
     ``zeta_kinks`` is called once with the ``(n_b, 1)`` column of bias
     nodes and must return the ``(n_b, k)`` array of zeta locations, in
-    any order, where ``f(., b)`` has its kinks.
+    any order, where ``f(., b)`` has its kinks.  A uniform bias law is cut
+    at each of ``bias_cuts`` inside it (see :func:`_bias_rule`), where
+    ``f(zeta, .)`` may be non-smooth near ``zeta = 0``.
     """
     n_zeta, n_b = orders
     if not (8 <= n_zeta <= _MAX_QUAD_ORDER and 8 <= n_b <= _MAX_QUAD_ORDER):
@@ -128,7 +134,7 @@ def expectation_2d(f, gamma: float, bias, orders: tuple[int, int],
             f"quadrature orders must be in [8, {_MAX_QUAD_ORDER}], got {orders}")
     if gamma <= 0:
         raise InvalidArgumentError(f"gamma must be positive, got {gamma}")
-    b_nodes, b_weights = _bias_rule(bias, n_b)
+    b_nodes, b_weights = _bias_rule(bias, n_b, bias_cuts)
 
     if zeta_kinks is None:
         nodes, weights = _hermgauss(n_zeta)
@@ -155,7 +161,7 @@ def expectation_2d(f, gamma: float, bias, orders: tuple[int, int],
 
 
 def expectation_2d_adaptive(f, gamma: float, bias, zeta_kinks=None,
-                            rtol: float = LADDER_RTOL) -> tuple[float, float]:
+                            rtol: float = LADDER_RTOL, bias_cuts=()) -> tuple[float, float]:
     """Doubling ladder around :func:`expectation_2d`.
 
     Both orders start at 64 and are doubled until two successive
@@ -164,12 +170,12 @@ def expectation_2d_adaptive(f, gamma: float, bias, zeta_kinks=None,
     successive difference (a cheap a-posteriori bound).
     """
     n_zeta = n_b = 64
-    value = expectation_2d(f, gamma, bias, (n_zeta, n_b), zeta_kinks)
+    value = expectation_2d(f, gamma, bias, (n_zeta, n_b), zeta_kinks, bias_cuts)
     error = np.inf
     while n_zeta < _MAX_QUAD_ORDER or n_b < _MAX_QUAD_ORDER:
         n_zeta = min(2 * n_zeta, _MAX_QUAD_ORDER)
         n_b = min(2 * n_b, _MAX_QUAD_ORDER)
-        refined = expectation_2d(f, gamma, bias, (n_zeta, n_b), zeta_kinks)
+        refined = expectation_2d(f, gamma, bias, (n_zeta, n_b), zeta_kinks, bias_cuts)
         error = abs(refined - value)
         value = refined
         if error < rtol:
@@ -178,7 +184,8 @@ def expectation_2d_adaptive(f, gamma: float, bias, zeta_kinks=None,
 
 
 def _panel_edges(s_min: float, extent: float, kinks) -> np.ndarray:
-    """Sorted panel edges on ``[-extent, extent]``, rounded out to an edge."""
+    """Sorted panel edges on ``[0, extent]``, rounded out to an edge, with an
+    edge at ``|k|`` for each kink ``k`` inside."""
     if not (np.isfinite(extent) and s_min >= np.finfo(float).tiny):  # 0.5 / s_min is finite
         raise NumericalFailureError(
             f"no u-panels reach from scale {s_min:.3g} out to |u| = {extent:.3g}")
@@ -189,7 +196,7 @@ def _panel_edges(s_min: float, extent: float, kinks) -> np.ndarray:
     if extent > _PANEL_SPAN:
         grow = (extent - _PANEL_SPAN) * (_PANEL_GROWTH - 1.0) / _PANEL_WIDTH + _PANEL_GROWTH
         outer = max(1, int(np.ceil(np.log(grow) / np.log(_PANEL_GROWTH))) - 1)
-    if 2 * (levels + inner + outer) + len(kinks) > _MAX_PANELS:
+    if levels + inner + outer + len(kinks) > _MAX_PANELS:
         raise NumericalFailureError(
             f"the u-rule from scale {s_min:.3g} out to |u| = {extent:.3g} needs more "
             f"than {_MAX_PANELS} panels")
@@ -197,9 +204,8 @@ def _panel_edges(s_min: float, extent: float, kinks) -> np.ndarray:
         _PANEL_WIDTH * 0.5 ** np.arange(levels, 0, -1),
         _PANEL_WIDTH * np.arange(1, inner + 1),
         _PANEL_SPAN + np.cumsum(_PANEL_WIDTH * _PANEL_GROWTH ** np.arange(1, outer + 1))])
-    end = positive[-1]
-    inside = [k for k in kinks if -end < k < end]
-    edges = np.sort(np.concatenate([-positive, [0.0], positive, inside]))
+    inside = [abs(k) for k in kinks if abs(k) < positive[-1]]
+    edges = np.sort(np.concatenate([[0.0], positive, inside]))
     return edges[np.concatenate([[True], np.diff(edges) > 0.0])]  # np.unique imports numpy.ma
 
 
@@ -210,28 +216,38 @@ def _panel_nodes(edges: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (edges[1:] + edges[:-1])[:, None] + half * nodes, half * weights
 
 
+def _even(f, u: np.ndarray) -> np.ndarray:
+    """``f(u) + f(-u)``: what a node ``u > 0`` of the half-line carries."""
+    return np.asarray(f(u), dtype=float) + np.asarray(f(-u), dtype=float)
+
+
 def panel_rule(f, kinks, s_min: float, s_max: float, rounding=None):
-    """Legendre panels in u for Gaussian moments of ``f`` at scales in
+    """Legendre panels in ``u >= 0`` for Gaussian moments of ``f`` at scales in
     ``[s_min, s_max]`` (see :func:`gaussian_moments`).
 
-    Panel edges sit at ``kinks``, at 0 and at halving steps from 0.5
-    down to ``s_min``, every 0.5 out to 20 and 1.25 times wider per panel
-    beyond, out to ``12 s_max``.  A panel on which the 16- and 32-node
-    rules of ``f`` alone differ by more than its width times the larger
-    of 1e-13 ``max |f|`` and the rounding level of ``f`` is halved, until
-    none does or the rule would pass 16,384 panels; the error estimate of
+    The Gaussian factor depends on ``|u|`` alone, so the rule lives on the
+    half-line and each node ``u > 0`` carries the even part ``f(u) + f(-u)``
+    of ``f``: half the nodes of a two-sided rule.  Panel edges sit at 0, at
+    ``|k|`` for each of ``kinks``, at halving steps from 0.5 down to
+    ``s_min``, every 0.5 out to 20 and 1.25 times wider per panel beyond, out
+    to ``12 s_max``.  A panel on which the 16- and 32-node rules of that even
+    part alone differ by more than its width times the larger of 1e-13 of its
+    largest magnitude and its rounding level is halved, until none does or
+    the rule would pass 8,192 panels; the error estimate of
     :func:`gaussian_moments` then shows what is left unresolved.
     ``rounding``, if given, maps nodes to the rounding level of ``f`` there;
-    the halving test takes its largest value (0 without it).  Scales more
-    than ``MAX_SCALE_SPAN`` apart raise :class:`NumericalFailureError`.
+    a node carries ``rounding(u) + rounding(-u)``, and the halving test takes
+    the largest such level (0 without it).  Scales more than
+    ``MAX_SCALE_SPAN`` apart raise :class:`NumericalFailureError`.
 
     Returns ``(|u|, column, weights, R)`` for the nodes out to ``12 s_max``,
     sorted by ``|u|``: ``R`` is the power of two in ``(6 s_max, 12 s_max]``,
     ``column`` is ``-(u / R)^2 / 2`` and ``weights`` is ``(n, 2k)``: the 32-node
-    rule's weights times ``f(u)``, the 16-node rule's (each zero at the other
-    rule's nodes) and, with ``rounding``, the 32-node weights times the
-    rounding level, then the same ``k`` columns times ``(u / R)^2``.  As
-    ``(u / R)^2 < 4``, no product overflows where ``f`` times a weight does not.
+    rule's weights times the even part of ``f``, the 16-node rule's (each
+    zero at the other rule's nodes) and, with ``rounding``, the 32-node
+    weights times the folded rounding level, then the same ``k`` columns times
+    ``(u / R)^2``.  As ``(u / R)^2 < 4``, no product overflows where ``f``
+    times a weight does not.
     """
     extent = _TAIL_SCALES * s_max
     edges = _panel_edges(s_min, extent, kinks)
@@ -240,10 +256,10 @@ def panel_rule(f, kinks, s_min: float, s_max: float, rounding=None):
             f"one u-rule cannot hold scales from {s_min:.3g} to {s_max:.3g}")
     while True:
         rules = [_panel_nodes(edges, n) for n in _PANEL_ORDERS]
-        values = [np.asarray(f(u), dtype=float) for u, _ in rules]
+        values = [_even(f, u) for u, _ in rules]
         sums = [np.sum(w * v, axis=1) for (_, w), v in zip(rules, values)]
         scale = max(float(np.max(np.abs(v))) for v in values)
-        noise = 0.0 if rounding is None else max(float(np.max(rounding(u))) for u, _ in rules)
+        noise = 0.0 if rounding is None else max(float(np.max(_even(rounding, u))) for u, _ in rules)
         unresolved = np.abs(sums[0] - sums[1]) > 1e-13 * np.diff(edges) * max(scale, 1e13 * noise)
         if not unresolved.any() or edges.size + np.count_nonzero(unresolved) > _MAX_PANELS:
             break
@@ -257,9 +273,9 @@ def panel_rule(f, kinks, s_min: float, s_max: float, rounding=None):
     weights[:split, 0] = (w_32 * values[0]).ravel()
     weights[split:, 1] = (w_16 * values[1]).ravel()
     if rounding is not None:
-        weights[:split, 2] = (w_32 * rounding(u_32)).ravel()
-    order = np.argsort(np.abs(u), kind="stable")
-    abs_u = np.abs(u)[order]
+        weights[:split, 2] = (w_32 * _even(rounding, u_32)).ravel()
+    order = np.argsort(u, kind="stable")
+    abs_u = u[order]
     kept = np.searchsorted(abs_u, extent, side="right")  # no scale of the rule reaches further
     abs_u, weights = abs_u[:kept], weights[order[:kept]]
     reach = math.ldexp(0.5, math.frexp(extent)[1])

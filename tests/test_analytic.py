@@ -318,9 +318,25 @@ class TestOneDimensionalRoute:
 
     def test_unresolved_profile_refused(self):
         # s'(u)^2 = 2 sin(u)^2 oscillates out to |u| ~ 1e151 here, past what
-        # 16,384 panels can resolve, so the two panel orders disagree.
+        # 8,192 panels on u >= 0 can resolve, so the two panel orders disagree.
         with pytest.raises(NumericalFailureError, match="1-D quadrature did not converge"):
             nu_function(scaled_cosine(), 1.0, STD_GAUSSIAN_BIAS, 1e150)
+
+    # Golden-section steps towards r = 0 each went below the rule's smallest
+    # scale; rebuilding it at each step's own scale made 1,465 and 506 rules.
+    @pytest.mark.parametrize("r_domain, builds", [((1e-300, 1e300), 36), ((0.0, 1e100), 12)])
+    def test_descending_steps_rebuild_rarely(self, monkeypatch, r_domain, builds):
+        panel_rule, made = numerics.panel_rule, []
+
+        def counted(*args):
+            made.append(args)
+            return panel_rule(*args)
+
+        monkeypatch.setattr(numerics, "panel_rule", counted)
+        report = rnn_lipschitz(tanh_activation(), 1.0, BiasDistribution.point_mass(),
+                               r_domain=r_domain)
+        assert_allclose(report.value, 1.0, rtol=1e-15)
+        assert len(made) <= builds
 
     def test_subnormal_scale_refused(self):
         # No panels halve down to a scale whose reciprocal overflows.
@@ -418,6 +434,18 @@ class TestUniformBias:
     def test_relu_minus_one_to_two(self, gamma):
         report = rnn_lipschitz(relu(), gamma, BiasDistribution.uniform(-1.0, 2.0))
         assert_allclose(report.value, math.sqrt(2.0 / 3.0) * gamma, rtol=1e-12)
+
+    # s'(b)^2 jumps at ReLU's kink b = 0 inside U(-1, 2), which one Legendre
+    # rule in b over the whole interval missed by 3.1e-4 at tau = 0 and 3.8e-4
+    # at 0.0147; the certificate cuts the law there.
+    @pytest.mark.parametrize("tau", [0.0, 0.00736, 0.0147, 0.05, 0.3])
+    def test_relu_certificate_cut_at_the_kink(self, tau):
+        value, error = analytic._nu_with_error(relu(), BiasDistribution.uniform(-1.0, 2.0), tau)
+        assert error < numerics.LADDER_RTOL
+        if tau == 0.0:
+            assert_allclose(value, 2.0 / 3.0, rtol=0.0, atol=1e-12)
+        else:
+            assert_allclose(value, _relu_uniform_nu(1.0, -1.0, 2.0, tau), rtol=1e-9)
 
     # The 2-D ladder was 41% off for U(0, 2 pi) and 118% for U(-1, 2) at r = 15.
     @pytest.mark.parametrize("a, c", [(0.0, 2.0 * math.pi), (-1.0, 2.0)])

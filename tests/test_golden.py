@@ -82,8 +82,8 @@ def test_analytic(tmp_path, capsys):
     out = _run(["analytic", "--activation", "relu", "--bias", "gaussian:1"],
                tmp_path)
     assert out == ("method,value,argmax_r,error_estimate\n"
-                   "thm34-quadrature,0.70710678118654835,3.8846312804309728,"
-                   "2.6691571797624143e-15\n"), BLAS
+                   "thm34-quadrature,0.70710678118654835,5.0571333363016411,"
+                   "2.8261664256307919e-15\n"), BLAS
 
 
 UNIFORM_PHASE = "uniform:0:6.283185307179586"
@@ -91,9 +91,10 @@ UNIFORM_PHASE = "uniform:0:6.283185307179586"
 
 @pytest.mark.parametrize("activation, bias, row", [
     ("relu", UNIFORM_PHASE, "1,0,2.2204460492503131e-16"),
-    ("tanh", "gaussian:1", "0.68147113104537904,0,1.6291563560764059e-16"),
+    ("tanh", "gaussian:1",
+     "0.68147113104537937,3.0692292402505568e-09,4.0728908901910124e-16"),
     ("cos", UNIFORM_PHASE,
-     "1.0000000000000027,3.744390543403656,2.4424906541753381e-15"),
+     "1.0000000000000018,3.3589385757003383,1.7763568394002473e-15"),
 ])
 def test_analytic_other_settings(activation, bias, row, tmp_path, capsys):
     out = _run(["analytic", "--activation", activation, "--bias", bias],

@@ -275,6 +275,32 @@ def _uniform_slope_sq(act, a, c):
     return lambda u: (integral(u + c) - integral(u + a)) / (c - a)
 
 
+def _two_sided_moments(f, kinks, scales):
+    """``E[f(u)]`` and ``E[t^2 f(u)]`` for ``u = s t``, ``t ~ N(0, 1)``, per scale
+    ``s``: order-32 Legendre panels in ``t`` on both sides of 0, 0.125 wide on
+    ``[-12, 12]`` and cut at each kink's ``k / s``.  Nothing is folded."""
+    nodes, weights = _leggauss(32)
+    m0, m2 = np.empty(scales.size), np.empty(scales.size)
+    for i, s in enumerate(scales):
+        cuts = [k / s for k in kinks if abs(k) < 12.0 * s]
+        edges = np.unique(np.concatenate([np.linspace(-12.0, 12.0, 193), cuts]))
+        half = 0.5 * np.diff(edges)[:, None]
+        t = (0.5 * (edges[1:] + edges[:-1]))[:, None] + half * nodes
+        w = half * weights * np.exp(-0.5 * t * t) / np.sqrt(2.0 * np.pi) * f(s * t)
+        m0[i], m2[i] = np.sum(w), np.sum(w * t * t)
+    return m0, m2
+
+
+#: The three rules of the exact workload at every scale of its scan.
+SCAN_RULES = [
+    (_uniform_slope_sq(scaled_cosine(), 0.0, 2.0 * np.pi), [],
+     np.linspace(0.0, 10.0 * (1.0 + 2.0 * np.pi / np.sqrt(12.0)), DEFAULT_SCAN_POINTS)[1:]),
+    (relu().slope_sq, [0.0], np.hypot(np.linspace(0.0, 20.0, DEFAULT_SCAN_POINTS), 1.0)),
+    (tanh_activation().slope_sq, [], np.hypot(np.linspace(0.0, 20.0, DEFAULT_SCAN_POINTS), 1.0)),
+]
+SCAN_RULE_IDS = ["cos-phase", "relu-gaussian", "tanh-gaussian"]
+
+
 class TestGaussianMoments:
     """:func:`panel_rule` and :func:`gaussian_moments`: t^2 = (R / s)^2 (u / R)^2."""
 
@@ -332,23 +358,50 @@ class TestGaussianMoments:
         assert_allclose(g[1:], expected, rtol=1e-14)
         assert_allclose(alpha[1:], expected, rtol=1e-12)
 
+    # A call below the rule's smallest scale lowers it 2^32-fold at once, but
+    # not below the smallest normal float, where no panels reach.
+    def test_descent_stops_at_the_smallest_normal_scale(self):
+        profile = _profile_1d(identity(), BiasDistribution.point_mass())
+        for tau in (1e-299, 0.9e-299, 1e-300):
+            g, alpha = profile(np.array([tau]))
+            assert_allclose(g, 1.0, rtol=1e-14)
+            assert_allclose(alpha, 1.0, rtol=1e-14)
+
     def test_span_refused(self):
         with pytest.raises(NumericalFailureError, match="cannot hold scales"):
             panel_rule(np.cos, [], 1e-100, 1e-100 * MAX_SCALE_SPAN * 2.0)
 
-    # The three rules of the exact workload at every scale of its scan.
-    @pytest.mark.parametrize("f, kinks, scales", [
-        (_uniform_slope_sq(scaled_cosine(), 0.0, 2.0 * np.pi), [],
-         np.linspace(0.0, 10.0 * (1.0 + 2.0 * np.pi / np.sqrt(12.0)), DEFAULT_SCAN_POINTS)[1:]),
-        (relu().slope_sq, [0.0], np.hypot(np.linspace(0.0, 20.0, DEFAULT_SCAN_POINTS), 1.0)),
-        (tanh_activation().slope_sq, [], np.hypot(np.linspace(0.0, 20.0, DEFAULT_SCAN_POINTS), 1.0)),
-    ], ids=["cos-phase", "relu-gaussian", "tanh-gaussian"])
+    @pytest.mark.parametrize("f, kinks, scales", SCAN_RULES, ids=SCAN_RULE_IDS)
     def test_matches_division_by_each_scale(self, f, kinks, scales):
         abs_u, column, weights, reach = panel_rule(f, kinks, scales.min(), scales.max())
         m0, m2 = gaussian_moments(abs_u, column, weights, reach, scales)
         ref0, ref2 = _moments_by_division(abs_u, weights[:, :2], scales)
         assert_allclose(m0, ref0, rtol=1e-13)
         assert_allclose(m2, ref2, rtol=1e-13)
+
+    # The rule lives on u >= 0 and each node carries f(u) + f(-u).  ReLU on
+    # U(-1, 2) has D = (relu(u + 2) - relu(u - 1)) / 3, with kinks at -2 and 1
+    # that fold to edges at 2 and 1, and no symmetry.
+    @pytest.mark.parametrize("f, kinks, scales", [
+        (_uniform_slope_sq(relu(), -1.0, 2.0), [-2.0, 1.0],
+         np.linspace(0.0, 10.0 * (1.0 + 3.0 / np.sqrt(12.0)), DEFAULT_SCAN_POINTS)[1:]),
+        *SCAN_RULES,
+    ], ids=["relu-minus-one-to-two", *SCAN_RULE_IDS])
+    def test_folded_rule_matches_two_sided(self, f, kinks, scales):
+        rule = panel_rule(f, kinks, scales.min(), scales.max())
+        assert np.all(rule[0] > 0.0)
+        m0, m2 = gaussian_moments(*rule, scales)
+        ref0, ref2 = _two_sided_moments(f, kinks, scales)
+        assert_allclose(m0, ref0[:, None] * [1.0, 1.0], rtol=1e-14)
+        assert_allclose(m2, ref2[:, None] * [1.0, 1.0], rtol=1e-14)
+
+    # Half of the two-sided rule's 6,302 and 5,780 nodes.
+    @pytest.mark.parametrize("case, nodes", [(0, 3151), (1, 2890), (2, 2890)],
+                             ids=SCAN_RULE_IDS)
+    def test_node_count_is_half_the_two_sided_layout(self, case, nodes):
+        f, kinks, scales = SCAN_RULES[case]
+        abs_u, *_ = panel_rule(f, kinks, scales.min(), scales.max())
+        assert abs_u.size == nodes
 
 
 class TestMaximizeScalar:
