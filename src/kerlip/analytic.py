@@ -442,12 +442,12 @@ def hessian_lipschitz_oracle(kernel: ShiftInvariantKernel,
     from ``kernels._one_minus_kappa``: ``-expm1`` of the Gaussian and
     Laplace exponents, and for any other Matern ``nu`` the Gamma mixture
     ``1 - kappa = E_s[-expm1(-nu q / (2 s))]``, ``s ~ Gamma(nu, 1)``, on a
-    Legendre rule in ``log s`` that one call builds once.  That rule
-    shares no code with the Bessel form of :func:`kappa_eval`, needs no
-    scipy, and meets a 40-digit reference to about 1e-15 relative for
-    ``nu`` in ``[0.55, 1000]``; the value then meets the covariance route
-    to about 1e-15 for ``nu >= 5``, where the finite differences are exact
-    up to rounding.
+    Legendre rule in ``log s`` that one call builds once, as ``kappa_eval``
+    does.  It shares no code with the covariance route it checks, meets a
+    40-digit reference to about 1e-15 relative for ``nu`` in ``[0.55, 1000]``,
+    and refuses ``nu`` from about 1.5e6, past ``kernels._MIXTURE_PANELS``;
+    the value meets the covariance route to about 1e-15 for ``nu >= 5``,
+    where the finite differences are exact up to rounding.
 
     Only valid for kernels with a finite second spectral moment (the
     Hessian at 0 does not exist otherwise).  A step ``h`` outside

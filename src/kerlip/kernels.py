@@ -544,12 +544,12 @@ def gaussian_kernel(sigma: np.ndarray) -> ShiftInvariantKernel:
 def matern_kernel(nu: float, sigma: np.ndarray) -> ShiftInvariantKernel:
     """Anisotropic Matern kernel with smoothness ``nu``.
 
-    :func:`kappa_eval` evaluates it through the modified Bessel function
-    of the second kind on ``sqrt(2 nu d^T Sigma^-1 d)`` (``exp`` of minus
-    it at ``nu = 1/2``); the Hessian oracle reads ``1 - kappa`` off its
-    Gamma-mixture form instead.  The spectral measure is the multivariate
-    Student law with ``2 nu`` degrees of freedom and shape matrix
-    ``Sigma^-1``.
+    :func:`kappa_eval` evaluates it as the Gamma mixture
+    ``E_s[exp(-nu q / (2 s))]``, ``s ~ Gamma(nu, 1)``,
+    ``q = d^T Sigma^-1 d`` (``exp(-sqrt(2 nu q))`` at ``nu = 1/2``), and
+    the Hessian oracle reads ``1 - kappa`` off the same mixture.  The
+    spectral measure is the multivariate Student law with ``2 nu`` degrees
+    of freedom and shape matrix ``Sigma^-1``.
     """
     shape = np.linalg.inv(_check_spd(sigma))
     return ShiftInvariantKernel(WeightDistribution.student_t(nu, 0.5 * (shape + shape.T)))
@@ -560,21 +560,17 @@ def laplace_kernel(d: int) -> ShiftInvariantKernel:
     return matern_kernel(0.5, np.eye(d))
 
 
-_TINY = np.finfo(float).tiny
-
-
 def kappa_eval(kernel: ShiftInvariantKernel, delta: np.ndarray) -> float:
     """Closed-form ``kappa(delta)``, read off the spectral law's ``nu``.
 
     ``nu = None`` is the Gaussian kernel and ``nu = 1/2`` the closed form
-    ``exp(-sqrt(2 nu q))``, with ``q = delta^T shape delta``; any other
-    ``nu`` takes the Bessel form, whose value at ``delta = 0`` is the
-    small-argument limit 1, not the singular ``0 * inf`` product.  Where
-    that form is not finite in floating point (``Gamma(nu)`` overflows
-    past ``nu = 171``, ``2**(1 - nu) / Gamma(nu)`` is subnormal from
-    about ``nu = 150``, and a small ``arg`` can take its product with
-    ``arg**nu`` below the normal range sooner),
-    :class:`NumericalFailureError` is raised.
+    ``exp(-sqrt(2 nu q))``, with ``q = delta^T shape delta``.  Any other
+    ``nu`` takes the Gamma mixture ``kappa = E_s[exp(-c / s)]``,
+    ``c = nu q / 2``, ``s ~ Gamma(nu, 1)``, as one positive sum on the
+    Legendre rule in ``log s`` that :func:`_one_minus_kappa` uses, with no
+    Gamma or Bessel function to overflow; ``delta = 0`` gives exactly 1.
+    Where the rule needs more than ``_MIXTURE_PANELS`` panels (``nu`` above
+    about 3e7 or below about 0.02), :class:`NumericalFailureError` is raised.
     """
     delta = np.atleast_1d(np.asarray(delta, dtype=float))
     if delta.shape != (kernel.d,) or not np.isfinite(delta).all():
@@ -583,48 +579,44 @@ def kappa_eval(kernel: ShiftInvariantKernel, delta: np.ndarray) -> float:
     law = kernel.spectral
     if law.nu is None:
         return float(np.exp(-0.5 * delta @ law.shape @ delta))
-    arg = np.sqrt(2.0 * law.nu * delta @ law.shape @ delta)
     if law.nu == 0.5:
-        return float(np.exp(-arg))
-    if arg < 1e-8:
+        return float(np.exp(-np.sqrt(2.0 * law.nu * delta @ law.shape @ delta)))
+    c = 0.5 * law.nu * (delta @ law.shape @ delta)
+    if c <= 0.0:
         return 1.0
-    # Only this form needs scipy; importing it here keeps it out of every
-    # process that evaluates no Matern Bessel kernel.
-    from scipy.special import gamma as gamma_fn, kv
-
-    with np.errstate(all="ignore"):
-        norm = 2.0 ** (1.0 - law.nu) / gamma_fn(law.nu)
-        scale = norm * arg**law.nu
-        value = float(scale * kv(law.nu, arg))
-    # A norm or scale outside the normal range makes the product NaN or rounds it away.
-    if not (_TINY <= min(norm, scale) and scale < np.inf and math.isfinite(value)):
-        raise NumericalFailureError(
-            f"the Matern Bessel form at nu = {law.nu:g}, sqrt(2 nu q) = {arg:.6g} is not "
-            f"finite in floating point")
-    return value
+    # kappa needs no nodes left of the law's own tail, an underflowing s = e^x
+    # has exp(-c / s) = 0, and kappa(0) = 1 caps a sum whose weights round.
+    with np.errstate(over="ignore"):
+        exp_neg_x, weights = _gamma_mixture_rule(float(law.nu), math.inf, c)
+        return min(float(np.exp(-c * exp_neg_x) @ weights), 1.0)
 
 
-#: The Gamma-mixture rule of :func:`_one_minus_kappa`: Legendre panels of
-#: 32 nodes in ``x = log s``, of width at most 0.5 and at most 8 standard
-#: deviations of ``log s`` near its mode, and at most 4,096 of them.
+#: The Gamma-mixture rule of :func:`kappa_eval` and :func:`_one_minus_kappa`:
+#: Legendre panels of 32 nodes in ``x = log s``, of width at most 0.5 and at
+#: most 8 standard deviations of ``log s`` near its mode; at most 4,096 panels.
 _MIXTURE_ORDER = 32
 _MIXTURE_WIDTH = 0.5
 _MIXTURE_PANELS = 4096
+_TINY = np.finfo(float).tiny
 
 
 @lru_cache(maxsize=16)
-def _gamma_mixture_rule(nu: float, c_min: float) -> tuple[np.ndarray, np.ndarray]:
+def _gamma_mixture_rule(nu: float, c_min: float,
+                        c_max: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """``exp(-x)`` at the nodes of the Gamma mixture, and their weights.
 
     The weights are the Legendre weights times the ``Gamma(nu, 1)``
     density of ``x = log s``, divided by their sum: the rule's own
     normalisation, which stands for ``Gamma(nu)`` without the rounding of
     ``nu log nu - nu - lgamma(nu)``.  The panels reach from
-    ``min(log nu, log c_min) - 40 / nu - 5``, far enough left for every
-    ``c = nu q / 2 >= c_min``, to ``log(nu + 40 + 10 sqrt(nu)) + 1``.
+    ``min(log nu, log c_min) - 40 / nu - 5``, far enough left for
+    ``1 - kappa`` at every ``c = nu q / 2 >= c_min``, to
+    ``log(m + 40 + 10 sqrt(m)) + 1``, ``m = nu + sqrt(c_max)``, past the
+    peak of ``exp(-c / s)`` times the density for every ``c <= c_max``.
     """
     lo = min(math.log(nu), math.log(c_min)) - 40.0 / nu - 5.0
-    hi = math.log(nu + 40.0 + 10.0 * math.sqrt(nu)) + 1.0
+    m = nu + math.sqrt(c_max)
+    hi = math.log(m + 40.0 + 10.0 * math.sqrt(m)) + 1.0
     width = min(_MIXTURE_WIDTH, 8.0 / math.sqrt(nu))
     panels = math.ceil((hi - lo) / width)
     if panels > _MIXTURE_PANELS:
@@ -649,10 +641,10 @@ def _one_minus_kappa(law: WeightDistribution, q, q_min: Optional[float] = None) 
     Gaussian: ``-expm1(-q / 2)``; Matern ``nu = 1/2``:
     ``-expm1(-sqrt(2 nu q))``.  Any other ``nu`` takes the Gamma mixture
     ``kappa = E_s[exp(-nu q / (2 s))]``, ``s ~ Gamma(nu, 1)``, as
-    ``E_s[-expm1(-nu q / (2 s))]`` on a Legendre rule in ``log s``, which
-    has no ``1 - kappa`` cancellation and needs no Bessel function.  The
-    rule reaches every ``q >= q_min``, by default the smallest positive
-    ``q``; a caller that passes one ``q_min`` for many calls builds it once.
+    ``E_s[-expm1(-nu q / (2 s))]`` on the rule of :func:`kappa_eval`, which
+    has no ``1 - kappa`` cancellation.  The rule reaches every
+    ``q >= q_min``, by default the smallest positive ``q``; a caller that
+    passes one ``q_min`` for many calls builds it once.
     ``q = 0`` gives exactly 0.
     """
     q = np.asarray(q, dtype=float)

@@ -300,20 +300,27 @@ def gaussian_moments(abs_u: np.ndarray, column: np.ndarray, weights: np.ndarray,
     moments = np.zeros((scales.size, weights.shape[1]))
     half = weights.shape[1] // 2
     density = np.empty((_SCALE_BLOCK, _NODE_CHUNK))
+    ratio_sq = np.square(reach / scales)
     for lo in range(0, scales.size, _SCALE_BLOCK):
         s = scales[lo:lo + _SCALE_BLOCK]
-        ratio_sq = np.square(reach / s)
         first = np.searchsorted(abs_u, _CORE_SCALES * s.min())
         last = np.searchsorted(abs_u, _TAIL_SCALES * s.max(), side="right")
         for start in range(first, last, _NODE_CHUNK):
             stop = min(start + _NODE_CHUNK, last)
-            block = np.multiply.outer(ratio_sq, column[start:stop],
+            block = np.multiply.outer(ratio_sq[lo:lo + _SCALE_BLOCK], column[start:stop],
                                       out=density[:s.size, :stop - start])
             np.exp(block, out=block)
             moments[lo:lo + _SCALE_BLOCK] += block @ weights[start:stop]
-        norm = (1.0 / s)[:, None] / np.sqrt(2.0 * np.pi)
-        moments[lo:lo + _SCALE_BLOCK, :half] *= norm
-        moments[lo:lo + _SCALE_BLOCK, half:] *= norm * ratio_sq[:, None]
+    norm = (1.0 / scales)[:, None] / np.sqrt(2.0 * np.pi)
+    moments[:, :half] *= norm
+    with np.errstate(over="ignore"):
+        factor = norm * ratio_sq[:, None]
+    # R^2 / (s^3 sqrt(2 pi)) overflows near the smallest normal s; m_2 does not.
+    over = np.isinf(factor[:, 0])
+    if over.any():
+        moments[over, half:] *= norm[over]
+        factor[over] = ratio_sq[over, None]
+    moments[:, half:] *= factor
     return moments[:, :half], moments[:, half:]
 
 

@@ -343,6 +343,13 @@ class TestOneDimensionalRoute:
         with pytest.raises(NumericalFailureError, match="no u-panels reach from scale"):
             nu_function(scaled_cosine(), 1.0, BiasDistribution.point_mass(), 2.2e-313)
 
+    # m_2's normalisation R^2 / (s^3 sqrt(2 pi)) overflowed at these scales,
+    # though m_2 itself is O(1).
+    @pytest.mark.parametrize("r", [1e-307, 3e-308])
+    def test_scale_near_the_smallest_normal(self, r):
+        value = nu_function(tanh_activation(), 1.0, BiasDistribution.point_mass(), r)
+        assert_allclose(value, 1.0, rtol=1e-12)
+
     def test_certificate_ladder_must_converge(self, monkeypatch):
         monkeypatch.setattr(analytic, "_nu_with_error", lambda act, b, tau: (0.5, 1e-3))
         with pytest.raises(NumericalFailureError, match="certificate's quadrature ladder"):

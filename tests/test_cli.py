@@ -341,6 +341,15 @@ class TestExitStatuses:
         assert cause in captured.err and "Traceback" not in captured.err
         assert captured.out == ""
 
+    # m_2's normalisation R^2 / (s^3 sqrt(2 pi)) overflowed near the smallest
+    # normal scale, and this printed "nu / gamma^2 = inf" with exit 4.
+    def test_tiny_r_max_answers(self, tmp_path, capsys):
+        path = tmp_path / "lip.csv"
+        argv = ["analytic", "--activation", "tanh", "--bias", "point", "--r-max", "1e-300",
+                "--output", str(path)]
+        assert main(argv) == EXIT_OK, capsys.readouterr().err
+        assert_allclose(float(path.read_text().splitlines()[1].split(",")[1]), 1.0, rtol=1e-12)
+
     # The scan runs over r gamma on a gamma-free domain, so a huge gamma only
     # scales the constant.  When the radius domain scaled as gamma, the scan
     # ran out to r ~ 1e151: cos's oscillation could not be resolved out to
@@ -516,14 +525,15 @@ class TestCommands:
         assert code == EXIT_NUMERICAL
         assert "numerical failure" in capsys.readouterr().err
 
-    def test_kernel_convergence_refuses_an_overflowing_bessel_form(self, tmp_path, capsys):
-        # The sweep's exact kernel is the Bessel form, whose Gamma(200) overflows.
+    def test_kernel_convergence_matern_nu200_runs(self, tmp_path, capsys):
+        # The sweep's exact kernel is the Gamma mixture, which needs no
+        # Gamma(200); the Bessel form it replaced overflowed (exit 4).
+        out = tmp_path / "conv.csv"
         code = main(["kernel-convergence", "--kernel", "matern", "--nu", "200",
-                     "--n-list", "16", "--output", str(tmp_path / "conv.csv")])
-        err = capsys.readouterr().err
-        assert code == EXIT_NUMERICAL
-        assert err.startswith("numerical failure: ") and "not finite" in err
-        assert len(err.splitlines()) == 1 and "Traceback" not in err
+                     "--n-list", "16", "--output", str(out)])
+        assert code == EXIT_OK, capsys.readouterr().err
+        rows = out.read_text().splitlines()
+        assert len(rows) == 2 and rows[0].split(",")[0] == "N"
 
     @pytest.mark.parametrize("nu", ["1.0001", "1.1"])
     def test_hessian_oracle_refuses_nu_near_one(self, nu, capsys):

@@ -1,11 +1,10 @@
 """What a fresh kerlip process loads, and the benchmark's cold set-up.
 
-Only the Matern kernel's Bessel form needs ``scipy.special``, which costs
-more start-up time and memory than numpy and kerlip together, so it is
-imported where that form is evaluated.  The Hessian oracle and
-``crosscheck`` read a Matern kernel's ``1 - kappa`` off its Gamma-mixture
-form, which needs no scipy.  Each check here runs in a new interpreter,
-since this one may already hold scipy.
+kerlip never imports scipy: ``scipy.special`` alone costs more start-up
+time and memory than numpy and kerlip together, and every Matern kernel,
+in ``kappa_eval``, the Hessian oracle and ``crosscheck``, is read off its
+Gamma-mixture form.  Each check here runs in a new interpreter, since this
+one may already hold scipy.
 """
 
 import json
@@ -19,22 +18,26 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# Representative calls that evaluate no Matern Bessel kernel, the Matern
-# Hessian oracle among them, then one that does.  Prints the scipy modules
-# loaded after each part.
+# Representative calls, every Matern route among them, in a process where
+# importing scipy raises.  Prints the exit codes and the scipy modules loaded.
 SCRIPT = """
 import contextlib, io, json, sys
+
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+        return None
+
+
+sys.meta_path.insert(0, BlockScipy())
 
 import numpy as np
 
 import kerlip
 from kerlip import analytic, cli, experiments
 from kerlip.experiments import QuantileSweepConfig
-
-
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-
 
 gaussian = kerlip.BiasDistribution.gaussian(1.0)
 kernel_1d = kerlip.gaussian_kernel(np.eye(1))
@@ -47,14 +50,18 @@ experiments.quantile_sweep(QuantileSweepConfig.from_shift_invariant(
 experiments.kernel_convergence_sweep(kernel_1d, [16, 32], [((0.0,), (0.5,))], 0)
 for nu in (2.0, 200.0):
     analytic.hessian_lipschitz_oracle(kerlip.matern_kernel(nu, np.eye(2)))
+kerlip.kappa_eval(kerlip.matern_kernel(2.0, np.eye(2)), np.array([0.3, 0.4]))
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(["analytic"]),
              cli.main(["shift-invariant", "--kernel", "matern", "--nu", "2"]),
              cli.main(["crosscheck", "--kernel", "matern", "--nu", "2"]),
-             cli.main(["crosscheck", "--kernel", "matern", "--nu", "200", "--dim", "2"])]
-before = scipy_modules()
-kerlip.kappa_eval(kerlip.matern_kernel(2.0, np.eye(2)), np.array([0.3, 0.4]))
-print(json.dumps({"codes": codes, "before": before, "after": scipy_modules()}))
+             cli.main(["crosscheck", "--kernel", "matern", "--nu", "200", "--dim", "2"]),
+             cli.main(["kernel-convergence", "--kernel", "matern", "--nu", "2.5",
+                       "--output", "nu2.5.csv"]),
+             cli.main(["kernel-convergence", "--kernel", "matern", "--nu", "200",
+                       "--output", "nu200.csv"])]
+scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print(json.dumps({"codes": codes, "scipy": scipy}))
 """
 
 
@@ -66,13 +73,12 @@ def _run(argv, **kwargs):
                           stderr=subprocess.PIPE, text=True, timeout=300, **kwargs)
 
 
-def test_scipy_loads_only_for_the_matern_bessel_form(tmp_path):
+def test_kerlip_never_imports_scipy(tmp_path):
     proc = _run(["-c", SCRIPT], cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert result["codes"] == [0, 0, 0, 0]
-    assert result["before"] == []
-    assert "scipy.special" in result["after"]
+    assert result["codes"] == [0, 0, 0, 0, 0, 0]
+    assert result["scipy"] == []
 
 
 def _reject(constant):

@@ -245,6 +245,25 @@ class TestSecondMomentStatus:
         assert np.array_equal(got, np.eye(2))
 
 
+def _bessel_kappa(nu, q):
+    """The Matern ``kappa`` in its Bessel form ``2**(1 - nu) / Gamma(nu) arg**nu
+    K_nu(arg)``, ``arg = sqrt(2 nu q)``: the oracle of ``kappa_eval``, which
+    shares no code with its Gamma mixture.  ``None`` where the form is not
+    finite in floating point: ``Gamma(nu)`` overflows past ``nu = 171``,
+    ``2**(1 - nu) / Gamma(nu)`` is subnormal from about ``nu = 150``, and a
+    small ``arg`` takes its product with ``arg**nu`` below the normal range
+    sooner."""
+    arg = np.sqrt(2.0 * nu * q)
+    with np.errstate(all="ignore"):
+        norm = 2.0 ** (1.0 - nu) / gamma_fn(nu)
+        scale = norm * arg**nu
+        value = float(scale * kv(nu, arg))
+    tiny = np.finfo(float).tiny
+    if tiny <= min(norm, scale) and scale < np.inf and math.isfinite(value):
+        return value
+    return None
+
+
 class TestKappaEval:
     KERNELS = [gaussian_kernel(np.eye(2)),
                matern_kernel(2.0, np.eye(2)),
@@ -332,14 +351,42 @@ class TestKappaEval:
             assert_allclose(mc, kappa_eval(kernel, delta), atol=0.01)
 
 
-    def test_overflowing_bessel_form_refused(self):
-        # Gamma(200) overflows, and the product was NaN with a RuntimeWarning.
+    def test_nu_200_answers(self):
+        # Gamma(200) overflows the Bessel form; the Gamma mixture needs no
+        # Gamma function.
         kernel = matern_kernel(200.0, np.eye(2))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NumericalFailureError, match="not finite"):
-                kappa_eval(kernel, np.array([0.3, 0.4]))
+            value = kappa_eval(kernel, np.array([0.3, 0.4]))
+        assert math.isfinite(value) and 0.0 < value < 1.0
         assert kappa_eval(kernel, np.zeros(2)) == 1.0
+
+    @given(nu=st.floats(min_value=0.55, max_value=150.0),
+           delta=st.floats(min_value=-30.0, max_value=30.0))
+    @example(nu=1.5, delta=30.0)  # 1 - (1 - kappa) is off by 100% in these tails
+    @example(nu=2.5, delta=30.0)
+    @example(nu=50.0, delta=-30.0)
+    @example(nu=0.55, delta=1e-150)
+    @example(nu=1.25, delta=1e-9)  # the rule's weights sum to just above 1 here
+    @settings(max_examples=200, deadline=None)
+    def test_meets_the_bessel_form(self, nu, delta):
+        got = kappa_eval(matern_kernel(nu, np.eye(1)), np.array([delta]))
+        assert 0.0 <= got <= 1.0
+        expected = _bessel_kappa(nu, delta * delta)
+        if expected is None:
+            return
+        assert abs(got - expected) <= 1e-12
+        if expected > 1e-200:
+            assert abs(got - expected) <= 1e-12 * expected
+
+    # The first three: exp(-c / s) moves the mixture's mass to s ~ sqrt(c),
+    # past the Gamma(nu) law's own tail; a rule that stops there is off by
+    # 2-7%.  The last: the rule reaches s = e^x ~ e^-1340, below the floats.
+    @pytest.mark.parametrize("nu, delta", [(0.55, 300.0), (1.5, 200.0), (2.5, 150.0),
+                                           (0.03, 1.0)])
+    def test_rule_edges_meet_the_bessel_form(self, nu, delta):
+        got = kappa_eval(matern_kernel(nu, np.eye(1)), np.array([delta]))
+        assert_allclose(got, _bessel_kappa(nu, delta * delta), rtol=1e-12, atol=0.0)
 
 
 def _log_mode_density(nu):
@@ -403,13 +450,9 @@ class TestGammaMixture:
     def test_matches_the_bessel_form_and_quad(self, nu, log_q):
         # The mixture and the Bessel form share no code: each is an oracle
         # of the other.  quad checks the small q the Bessel form rounds away.
-        delta = np.array([math.sqrt(10.0**log_q)])
-        q = float(delta @ delta)
+        q = 10.0**log_q
         got = float(_one_minus_kappa(WeightDistribution.student_t(nu, np.eye(1)), q))
-        try:
-            bessel = kappa_eval(matern_kernel(nu, np.eye(1)), delta)
-        except NumericalFailureError:
-            bessel = None  # Gamma(nu) or sqrt(2 nu q)**nu overflows
+        bessel = _bessel_kappa(nu, q)
         if bessel is not None:
             assert abs(got - (1.0 - bessel)) <= 1e-12
         if q <= 1e-4:
