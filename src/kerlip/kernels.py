@@ -584,11 +584,15 @@ def kappa_eval(kernel: ShiftInvariantKernel, delta: np.ndarray) -> float:
     c = 0.5 * law.nu * (delta @ law.shape @ delta)
     if c <= 0.0:
         return 1.0
-    # kappa needs no nodes left of the law's own tail, an underflowing s = e^x
-    # has exp(-c / s) = 0, and kappa(0) = 1 caps a sum whose weights round.
+    # kappa needs no nodes left of the law's own tail.  Where s = e^x is below
+    # the floats, e^-x overflows and c / s = exp(log c - x), which is below 1
+    # for a subnormal c.  kappa(0) = 1 caps a sum whose weights round.
     with np.errstate(over="ignore"):
-        exp_neg_x, weights = _gamma_mixture_rule(float(law.nu), math.inf, c)
-        return min(float(np.exp(-c * exp_neg_x) @ weights), 1.0)
+        x, exp_neg_x, weights = _gamma_mixture_rule(float(law.nu), math.inf, c)
+        terms = np.exp(-c * exp_neg_x)
+        far = np.isinf(exp_neg_x)
+        terms[far] = np.exp(-np.exp(math.log(c) - x[far]))
+    return min(float(terms @ weights), 1.0)
 
 
 #: The Gamma-mixture rule of :func:`kappa_eval` and :func:`_one_minus_kappa`:
@@ -602,8 +606,8 @@ _TINY = np.finfo(float).tiny
 
 @lru_cache(maxsize=16)
 def _gamma_mixture_rule(nu: float, c_min: float,
-                        c_max: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """``exp(-x)`` at the nodes of the Gamma mixture, and their weights.
+                        c_max: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nodes ``x`` of the Gamma mixture, ``exp(-x)`` there and their weights.
 
     The weights are the Legendre weights times the ``Gamma(nu, 1)``
     density of ``x = log s``, divided by their sum: the rule's own
@@ -629,10 +633,11 @@ def _gamma_mixture_rule(nu: float, c_min: float,
     # nu x - e^x, less its value nu log nu - nu at the mode.
     weights = np.tile(w, panels) * np.exp(nu * (y - np.expm1(y)))
     weights /= weights.sum()
-    exp_neg_x = np.exp(-x.ravel())
-    exp_neg_x.flags.writeable = False
-    weights.flags.writeable = False
-    return exp_neg_x, weights
+    x = x.ravel()
+    exp_neg_x = np.exp(-x)
+    for array in (x, exp_neg_x, weights):
+        array.flags.writeable = False
+    return x, exp_neg_x, weights
 
 
 def _one_minus_kappa(law: WeightDistribution, q, q_min: Optional[float] = None) -> np.ndarray:
@@ -656,5 +661,5 @@ def _one_minus_kappa(law: WeightDistribution, q, q_min: Optional[float] = None) 
     if q_min is None:  # inf when no q is positive: the rule then starts left of the mode
         q_min = float(np.min(q, where=q > 0.0, initial=np.inf))
     # A subnormal q_min would give c_min = 0, whose log the rule cannot take.
-    exp_neg_x, weights = _gamma_mixture_rule(float(nu), max(0.5 * nu * q_min, _TINY))
+    _, exp_neg_x, weights = _gamma_mixture_rule(float(nu), max(0.5 * nu * q_min, _TINY))
     return -np.expm1(np.multiply.outer(-0.5 * nu * q, exp_neg_x)) @ weights

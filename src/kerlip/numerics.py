@@ -30,23 +30,20 @@ LADDER_RTOL = 1e-8
 #: Default finite-difference step for :func:`hessian_fd`.
 DEFAULT_FD_STEP = 1e-4
 
-#: Layout of :func:`panel_rule`: Legendre panels of width 0.5 on
-#: ``[0, 20]``, each one 1.25 times wider than the last beyond it, and
-#: halving towards 0 down to the smallest Gaussian scale.  Two orders per
-#: panel; their difference is the error estimate.
-_PANEL_WIDTH = 0.5
-_PANEL_SPAN = 20.0
-_PANEL_GROWTH = 1.25
+#: Layout of :func:`panel_rule`: Legendre panels from 0 to the smallest
+#: Gaussian scale and doubling in width beyond it, so each scale meets the same
+#: few panels within 12 of itself.  Two orders per panel; their difference is
+#: the error estimate.
 _PANEL_ORDERS = (32, 16)
 _MAX_PANELS = 8192
 
-#: :func:`gaussian_moments` takes scales 8 at a time and nodes 4,096 at a
-#: time, so its density buffer is 256 KiB.  Nodes beyond 12 scales (weight
-#: below 1e-30) or within 1e-12 of one scale of 0 are left out.  Each block
-#: forms t^2 = (u / s)^2 as ``(R / s)^2`` times the rule's ``(u / R)^2``, with
-#: ``R`` a power of two at the rule's reach, so its nodes need no division.
-_SCALE_BLOCK = 8
-_NODE_CHUNK = 4096
+#: Floats in the density buffer of :func:`gaussian_moments` (256 KiB): a block
+#: of scales takes as many as fit against all of the rule's nodes.  Nodes beyond
+#: 12 scales (weight below 1e-30) or within 1e-12 of one scale of 0 are left
+#: out.  Each block forms t^2 = (u / s)^2 as ``(R / s)^2`` times the rule's
+#: ``(u / R)^2``, with ``R`` a power of two at the rule's reach, so its nodes
+#: need no division.
+_DENSITY_FLOATS = 32768
 _TAIL_SCALES = 12.0
 _CORE_SCALES = 1e-12
 
@@ -184,26 +181,13 @@ def expectation_2d_adaptive(f, gamma: float, bias, zeta_kinks=None,
 
 
 def _panel_edges(s_min: float, extent: float, kinks) -> np.ndarray:
-    """Sorted panel edges on ``[0, extent]``, rounded out to an edge, with an
-    edge at ``|k|`` for each kink ``k`` inside."""
-    if not (np.isfinite(extent) and s_min >= np.finfo(float).tiny):  # 0.5 / s_min is finite
+    """Sorted panel edges on ``[0, extent]``: 0, ``s_min 2^k`` for ``k >= 0`` up
+    to the first at or past ``extent``, and ``|k|`` for each kink ``k`` inside."""
+    if not (np.isfinite(extent) and s_min >= np.finfo(float).tiny):  # no subnormal weights
         raise NumericalFailureError(
             f"no u-panels reach from scale {s_min:.3g} out to |u| = {extent:.3g}")
-    levels = max(0, int(np.ceil(np.log2(_PANEL_WIDTH / s_min))))
-    inner = min(int(np.ceil(extent / _PANEL_WIDTH)), round(_PANEL_SPAN / _PANEL_WIDTH))
-    # Outer edge k sits at 20 + 2 (1.25^(k+1) - 1.25).
-    outer = 0
-    if extent > _PANEL_SPAN:
-        grow = (extent - _PANEL_SPAN) * (_PANEL_GROWTH - 1.0) / _PANEL_WIDTH + _PANEL_GROWTH
-        outer = max(1, int(np.ceil(np.log(grow) / np.log(_PANEL_GROWTH))) - 1)
-    if levels + inner + outer + len(kinks) > _MAX_PANELS:
-        raise NumericalFailureError(
-            f"the u-rule from scale {s_min:.3g} out to |u| = {extent:.3g} needs more "
-            f"than {_MAX_PANELS} panels")
-    positive = np.concatenate([
-        _PANEL_WIDTH * 0.5 ** np.arange(levels, 0, -1),
-        _PANEL_WIDTH * np.arange(1, inner + 1),
-        _PANEL_SPAN + np.cumsum(_PANEL_WIDTH * _PANEL_GROWTH ** np.arange(1, outer + 1))])
+    doublings = math.ceil(math.log2(extent / s_min))
+    positive = s_min * 2.0 ** np.arange(doublings + 1)
     inside = [abs(k) for k in kinks if abs(k) < positive[-1]]
     edges = np.sort(np.concatenate([[0.0], positive, inside]))
     return edges[np.concatenate([[True], np.diff(edges) > 0.0])]  # np.unique imports numpy.ma
@@ -228,13 +212,17 @@ def panel_rule(f, kinks, s_min: float, s_max: float, rounding=None):
     The Gaussian factor depends on ``|u|`` alone, so the rule lives on the
     half-line and each node ``u > 0`` carries the even part ``f(u) + f(-u)``
     of ``f``: half the nodes of a two-sided rule.  Panel edges sit at 0, at
-    ``|k|`` for each of ``kinks``, at halving steps from 0.5 down to
-    ``s_min``, every 0.5 out to 20 and 1.25 times wider per panel beyond, out
-    to ``12 s_max``.  A panel on which the 16- and 32-node rules of that even
+    ``|k|`` for each of ``kinks`` and at ``s_min 2^k``, ``k >= 0``, out to the
+    first at or past ``12 s_max``: past ``s_min`` a panel is as wide as its
+    distance from 0, so every scale meets the same few panels per doubling of
+    ``t = |u| / s``.  A panel on which the 16- and 32-node rules of that even
     part alone differ by more than its width times the larger of 1e-13 of its
     largest magnitude and its rounding level is halved, until none does or
     the rule would pass 8,192 panels; the error estimate of
-    :func:`gaussian_moments` then shows what is left unresolved.
+    :func:`gaussian_moments` then shows what is left unresolved.  The weights
+    are on the scale of ``s_min`` and lose digits where they are subnormal, so
+    scales near the smallest normal float call for a rule built in a larger
+    unit.
     ``rounding``, if given, maps nodes to the rounding level of ``f`` there;
     a node carries ``rounding(u) + rounding(-u)``, and the halving test takes
     the largest such level (0 without it).  Scales more than
@@ -249,11 +237,11 @@ def panel_rule(f, kinks, s_min: float, s_max: float, rounding=None):
     ``(u / R)^2``.  As ``(u / R)^2 < 4``, no product overflows where ``f``
     times a weight does not.
     """
-    extent = _TAIL_SCALES * s_max
-    edges = _panel_edges(s_min, extent, kinks)
     if not s_max / MAX_SCALE_SPAN <= s_min:
         raise NumericalFailureError(
             f"one u-rule cannot hold scales from {s_min:.3g} to {s_max:.3g}")
+    extent = _TAIL_SCALES * s_max
+    edges = _panel_edges(s_min, extent, kinks)
     while True:
         rules = [_panel_nodes(edges, n) for n in _PANEL_ORDERS]
         values = [_even(f, u) for u, _ in rules]
@@ -295,32 +283,30 @@ def gaussian_moments(abs_u: np.ndarray, column: np.ndarray, weights: np.ndarray,
     product of ``(R / s)^2`` with ``column`` into its density buffer, one
     ``exp`` and one gemm against all ``2k`` columns; the second half comes
     out as ``sum_j w_j phi(t_j) (u_j / R)^2``, so it is scaled by ``(R / s)^2``
-    at the end.  Returns two ``(len(scales), k)`` arrays.
+    at the end.  A block holds as many scales as ``_DENSITY_FLOATS`` has rows
+    of the rule's nodes, and takes only the nodes within 12 of its largest
+    scale and past 1e-12 of its smallest.  Returns two ``(len(scales), k)``
+    arrays.
     """
     moments = np.zeros((scales.size, weights.shape[1]))
     half = weights.shape[1] // 2
-    density = np.empty((_SCALE_BLOCK, _NODE_CHUNK))
+    rows = max(1, _DENSITY_FLOATS // abs_u.size)
+    chunk = _DENSITY_FLOATS // rows
+    density = np.empty((min(rows, scales.size), min(chunk, abs_u.size)))
     ratio_sq = np.square(reach / scales)
-    for lo in range(0, scales.size, _SCALE_BLOCK):
-        s = scales[lo:lo + _SCALE_BLOCK]
+    for lo in range(0, scales.size, rows):
+        s = scales[lo:lo + rows]
         first = np.searchsorted(abs_u, _CORE_SCALES * s.min())
         last = np.searchsorted(abs_u, _TAIL_SCALES * s.max(), side="right")
-        for start in range(first, last, _NODE_CHUNK):
-            stop = min(start + _NODE_CHUNK, last)
-            block = np.multiply.outer(ratio_sq[lo:lo + _SCALE_BLOCK], column[start:stop],
+        for start in range(first, last, chunk):
+            stop = min(start + chunk, last)
+            block = np.multiply.outer(ratio_sq[lo:lo + rows], column[start:stop],
                                       out=density[:s.size, :stop - start])
             np.exp(block, out=block)
-            moments[lo:lo + _SCALE_BLOCK] += block @ weights[start:stop]
+            moments[lo:lo + rows] += block @ weights[start:stop]
     norm = (1.0 / scales)[:, None] / np.sqrt(2.0 * np.pi)
     moments[:, :half] *= norm
-    with np.errstate(over="ignore"):
-        factor = norm * ratio_sq[:, None]
-    # R^2 / (s^3 sqrt(2 pi)) overflows near the smallest normal s; m_2 does not.
-    over = np.isinf(factor[:, 0])
-    if over.any():
-        moments[over, half:] *= norm[over]
-        factor[over] = ratio_sq[over, None]
-    moments[:, half:] *= factor
+    moments[:, half:] *= norm * ratio_sq[:, None]
     return moments[:, :half], moments[:, half:]
 
 

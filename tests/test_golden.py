@@ -40,9 +40,9 @@ MATERN_SWEEP = (
 
 RELU_SWEEP = (
     "N,t_hat,quantile_index,lip_hat_mean,lip_hat_sd\n"
-    "8,0.35144572244816419,11,0.79329408447807659,0.17974852188461227\n"
-    "16,0.27632826385383447,11,0.80807766684872817,0.13645202689202418\n"
-    "32,0.30395150891344525,11,0.80613326285799713,0.12799707588429826\n")
+    "8,0.35144572244816474,11,0.79329408447807659,0.17974852188461227\n"
+    "16,0.27632826385383502,11,0.80807766684872817,0.13645202689202418\n"
+    "32,0.3039515089134458,11,0.80613326285799713,0.12799707588429826\n")
 
 GAUSSIAN_LOG = (
     '{"N": 8, "t_hat": 0.43327428946842605, "quantile_index": 11, '
@@ -82,8 +82,8 @@ def test_analytic(tmp_path, capsys):
     out = _run(["analytic", "--activation", "relu", "--bias", "gaussian:1"],
                tmp_path)
     assert out == ("method,value,argmax_r,error_estimate\n"
-                   "thm34-quadrature,0.70710678118654835,5.0571333363016411,"
-                   "2.8261664256307919e-15\n"), BLAS
+                   "thm34-quadrature,0.70710678118654779,12.13307240704501,"
+                   "2.5514002453611334e-15\n"), BLAS
 
 
 UNIFORM_PHASE = "uniform:0:6.283185307179586"
@@ -92,9 +92,9 @@ UNIFORM_PHASE = "uniform:0:6.283185307179586"
 @pytest.mark.parametrize("activation, bias, row", [
     ("relu", UNIFORM_PHASE, "1,0,2.2204460492503131e-16"),
     ("tanh", "gaussian:1",
-     "0.68147113104537937,3.0692292402505568e-09,4.0728908901910124e-16"),
+     "0.68147113104537926,3.0692292402505568e-09,2.851023623133709e-16"),
     ("cos", UNIFORM_PHASE,
-     "1.0000000000000018,3.3589385757003383,1.7763568394002473e-15"),
+     "1.0000000000000004,15.307949574503182,7.2164496600635146e-16"),
 ])
 def test_analytic_other_settings(activation, bias, row, tmp_path, capsys):
     out = _run(["analytic", "--activation", activation, "--bias", bias],

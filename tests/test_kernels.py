@@ -5,6 +5,7 @@ import math
 import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -387,6 +388,22 @@ class TestKappaEval:
     def test_rule_edges_meet_the_bessel_form(self, nu, delta):
         got = kappa_eval(matern_kernel(nu, np.eye(1)), np.array([delta]))
         assert_allclose(got, _bessel_kappa(nu, delta * delta), rtol=1e-12, atol=0.0)
+
+    # Below nu ~ 0.057 the rule's leftmost nodes s = e^x lie below the floats,
+    # where e^-x overflows and exp(-c e^-x) read 0; for a subnormal c, c / s =
+    # exp(log c - x) is below 1 there.  nu = 0.03, delta = 1e-160 read
+    # 1 - 5.7e-10 for 1 - 2.3e-10.  The reference is the mixture's own Bessel
+    # form 2 c^(nu / 2) K_nu(2 sqrt c) / Gamma(nu) at kappa_eval's float c, in
+    # 60-digit mpmath: c = nu delta^2 / 2 keeps only a few digits when subnormal.
+    @pytest.mark.parametrize("nu", [0.02, 0.03, 0.04])
+    @pytest.mark.parametrize("delta", [1e-160, 1e-156, 1e-154])
+    def test_subnormal_q_meets_mpmath(self, nu, delta):
+        got = kappa_eval(matern_kernel(nu, np.eye(1)), np.array([delta]))
+        with mpmath.workdps(60):
+            c, order = mpmath.mpf(0.5 * nu * (delta * delta)), mpmath.mpf(nu)
+            expected = 2 * c ** (order / 2) * mpmath.besselk(order, 2 * mpmath.sqrt(c)) / mpmath.gamma(order)
+        assert 1.0 - expected > 1e-14
+        assert abs(got - float(expected)) <= 1e-15
 
 
 def _log_mode_density(nu):

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -307,7 +307,7 @@ class TestGaussianMoments:
     # s'^2 = 1 gives E[1] = E[t^2] = 1; ReLU's indicator gives half of each.
     # Nodes within 1e-12 s of 0 are left out, which takes up to 2 phi(0) 1e-12
     # = 8e-13 of the mass off m0 once the rule has nodes there: at scales
-    # above about 1e9, where its panels near 0 are 0.5 wide.
+    # above about 1e9 times the rule's smallest, which its first panel spans.
     @pytest.mark.parametrize("f, kinks, expected", [
         (lambda u: np.ones_like(u), (), 1.0),
         (relu().slope_sq, (0.0,), 0.5),
@@ -367,6 +367,16 @@ class TestGaussianMoments:
             assert_allclose(g, 1.0, rtol=1e-14)
             assert_allclose(alpha, 1.0, rtol=1e-14)
 
+    # A rule that reached 1e-299 and was then lowered to the smallest normal
+    # float held weights near 1e-309, whose products with (u / R)^2 ~ 1e-18
+    # underflowed: g and m_2 read 0 at 1e-307, with both orders agreeing.
+    def test_second_moment_below_a_rule_lowered_to_the_smallest_normal(self):
+        profile = _profile_1d(tanh_activation(), BiasDistribution.point_mass())
+        profile(np.array([1e-299]))
+        g, alpha = profile(np.array([1e-307]))
+        assert_allclose(g, 1.0, rtol=1e-14)
+        assert_allclose(alpha, 1.0, rtol=1e-14)
+
     def test_span_refused(self):
         with pytest.raises(NumericalFailureError, match="cannot hold scales"):
             panel_rule(np.cos, [], 1e-100, 1e-100 * MAX_SCALE_SPAN * 2.0)
@@ -381,22 +391,34 @@ class TestGaussianMoments:
 
     # The rule lives on u >= 0 and each node carries f(u) + f(-u).  ReLU on
     # U(-1, 2) has D = (relu(u + 2) - relu(u - 1)) / 3, with kinks at -2 and 1
-    # that fold to edges at 2 and 1, and no symmetry.
-    @pytest.mark.parametrize("f, kinks, scales", [
-        (_uniform_slope_sq(relu(), -1.0, 2.0), [-2.0, 1.0],
-         np.linspace(0.0, 10.0 * (1.0 + 3.0 / np.sqrt(12.0)), DEFAULT_SCAN_POINTS)[1:]),
-        *SCAN_RULES,
+    # that fold to edges at 2 and 1, and no symmetry.  Scales reach up to 30,
+    # as far as the reference's t-panels resolve tanh's peak and the cos
+    # phase's D, which rounds at eps |u|.  The 16-node column is the error
+    # estimate: on the doubling panels the halving test lets it be off by
+    # 1e-13 of a panel's width times its largest |f| (1.9e-12 of tanh's
+    # moments at worst), against 1e-14 for the 32-node value.
+    @pytest.mark.parametrize("f, kinks", [
+        (_uniform_slope_sq(relu(), -1.0, 2.0), [-2.0, 1.0]),
+        *(rule[:2] for rule in SCAN_RULES),
     ], ids=["relu-minus-one-to-two", *SCAN_RULE_IDS])
-    def test_folded_rule_matches_two_sided(self, f, kinks, scales):
+    @given(top=st.floats(-2.0, 1.5), decades=st.floats(0.0, 6.0))
+    @example(top=math.log10(20.025), decades=math.log10(20.025))  # the scan of relu and tanh
+    @settings(max_examples=25, deadline=None)
+    def test_folded_rule_matches_two_sided(self, f, kinks, top, decades):
+        scales = np.geomspace(10.0 ** (top - decades), 10.0**top, 5)
         rule = panel_rule(f, kinks, scales.min(), scales.max())
         assert np.all(rule[0] > 0.0)
         m0, m2 = gaussian_moments(*rule, scales)
         ref0, ref2 = _two_sided_moments(f, kinks, scales)
-        assert_allclose(m0, ref0[:, None] * [1.0, 1.0], rtol=1e-14)
-        assert_allclose(m2, ref2[:, None] * [1.0, 1.0], rtol=1e-14)
+        assert_allclose(m0[:, 0], ref0, rtol=1e-14)
+        assert_allclose(m2[:, 0], ref2, rtol=1e-14)
+        assert_allclose(m0[:, 1], ref0, rtol=1e-11)
+        assert_allclose(m2[:, 1], ref2, rtol=1e-11)
 
-    # Half of the two-sided rule's 6,302 and 5,780 nodes.
-    @pytest.mark.parametrize("case, nodes", [(0, 3151), (1, 2890), (2, 2890)],
+    # Edges at 0 and at s_min 2^k out to 12 s_max: 14 panels of 48 nodes for
+    # the cos phase and 9 for ReLU and tanh, less the nodes past 12 s_max;
+    # half of what the same panels on both sides of 0 hold.
+    @pytest.mark.parametrize("case, nodes", [(0, 648), (1, 421), (2, 421)],
                              ids=SCAN_RULE_IDS)
     def test_node_count_is_half_the_two_sided_layout(self, case, nodes):
         f, kinks, scales = SCAN_RULES[case]
