@@ -119,15 +119,11 @@ def _profile_1d(act: Activation, bias: BiasDistribution):
     rule carries that level as a third column, and where its moment exceeds
     ``LADDER_RTOL max(1, |value|)`` at some ``tau``, for ``g`` or ``alpha``,
     :class:`NumericalFailureError` is raised.  The rule is built once and
-    rebuilt only when a call needs smaller or larger scales, in units of the
-    power of two at its smallest scale, so its weights, their products with
-    ``(u / R)^2`` and ``m_2``'s normalisation stay normal floats at any scale;
-    a scale below the smallest normal float raises
-    :class:`NumericalFailureError`.  A call below the rule's smallest scale
-    lowers it to the largest of 2^-32 of itself, the call's largest scale
-    over ``numerics.MAX_SCALE_SPAN`` and the smallest normal float, or to the
-    call's own smallest scale if that is lower, so golden-section steps that
-    creep towards 0 rebuild it rarely.  Once the
+    rebuilt only when a call needs smaller or larger scales.  A call below the
+    rule's smallest scale lowers it to the largest of 2^-32 of itself, the
+    call's largest scale over ``numerics.MAX_SCALE_SPAN`` and the smallest
+    normal float, or to the call's own smallest scale if that is lower, so
+    golden-section steps that creep towards 0 rebuild it rarely.  Once the
     union would pass ``numerics.MAX_SCALE_SPAN``, the rule starts again from
     that call's scales; a call whose own scales pass it is taken in a lower
     and an upper half.  At ``tau = 0`` with no bias spread, ``g = alpha =
@@ -153,10 +149,10 @@ def _profile_1d(act: Activation, bias: BiasDistribution):
             ends = np.maximum(np.abs(integral(u + c)), np.abs(integral(u + a)))
             return np.finfo(float).eps * ends / (c - a)
 
-    s_min, s_max, unit, rule = math.inf, 0.0, 1.0, None
+    s_min, s_max, rule = math.inf, 0.0, None
 
     def profile(tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        nonlocal s_min, s_max, unit, rule
+        nonlocal s_min, s_max, rule
         g = np.full((tau.size, 2), float(slope_sq(np.zeros(1))[0]))
         alpha = g.copy()
         with np.errstate(over="ignore"):
@@ -179,14 +175,8 @@ def _profile_1d(act: Activation, bias: BiasDistribution):
                 s_min, s_max = min(s_min, lo), max(s_max, hi)
                 if s_max > numerics.MAX_SCALE_SPAN * s_min:  # start again from these scales
                     s_min, s_max = lo, hi
-                if s_min < np.finfo(float).tiny:
-                    raise NumericalFailureError(
-                        f"no u-panels reach from scale {s_min:.3g}, below the smallest normal float")
-                unit = math.ldexp(1.0, math.frexp(s_min)[1] - 1)  # the power of two at s_min
-                rule = numerics.panel_rule(
-                    lambda x: slope_sq(x * unit), [k / unit for k in kinks], s_min / unit,
-                    s_max / unit, None if rounding is None else lambda x: rounding(x * unit))
-            m0, m2 = numerics.gaussian_moments(*rule, s / unit)
+                rule = numerics.panel_rule(slope_sq, kinks, s_min, s_max, rounding)
+            m0, m2 = numerics.gaussian_moments(*rule, s)
             nu = (sd / s)[:, None] ** 2 * m0 + (tau[spread] / s)[:, None] ** 2 * m2
             if rounding is not None:  # a third column bounds each moment's rounding
                 for name, moment in (("nu / gamma^2", nu), ("alpha", m0)):

@@ -33,9 +33,13 @@ DEFAULT_FD_STEP = 1e-4
 #: Layout of :func:`panel_rule`: Legendre panels from 0 to the smallest
 #: Gaussian scale and doubling in width beyond it, so each scale meets the same
 #: few panels within 12 of itself.  Two orders per panel; their difference is
-#: the error estimate.
+#: the error estimate.  A panel whose orders differ by more than
+#: ``_HALVING_RTOL`` of its width times the integrand's largest magnitude is
+#: halved: 1e-13 left the 16-node moments of tanh 2e-13 off on the wide first
+#: panels of scales near 10.
 _PANEL_ORDERS = (32, 16)
 _MAX_PANELS = 8192
+_HALVING_RTOL = 1e-15
 
 #: Floats in the density buffer of :func:`gaussian_moments` (256 KiB): a block
 #: of scales takes as many as fit against all of the rule's nodes.  Nodes beyond
@@ -183,7 +187,7 @@ def expectation_2d_adaptive(f, gamma: float, bias, zeta_kinks=None,
 def _panel_edges(s_min: float, extent: float, kinks) -> np.ndarray:
     """Sorted panel edges on ``[0, extent]``: 0, ``s_min 2^k`` for ``k >= 0`` up
     to the first at or past ``extent``, and ``|k|`` for each kink ``k`` inside."""
-    if not (np.isfinite(extent) and s_min >= np.finfo(float).tiny):  # no subnormal weights
+    if not (np.isfinite(extent) and s_min >= np.finfo(float).tiny):  # 1 / s_min is finite
         raise NumericalFailureError(
             f"no u-panels reach from scale {s_min:.3g} out to |u| = {extent:.3g}")
     doublings = math.ceil(math.log2(extent / s_min))
@@ -216,21 +220,21 @@ def panel_rule(f, kinks, s_min: float, s_max: float, rounding=None):
     first at or past ``12 s_max``: past ``s_min`` a panel is as wide as its
     distance from 0, so every scale meets the same few panels per doubling of
     ``t = |u| / s``.  A panel on which the 16- and 32-node rules of that even
-    part alone differ by more than its width times the larger of 1e-13 of its
-    largest magnitude and its rounding level is halved, until none does or
-    the rule would pass 8,192 panels; the error estimate of
-    :func:`gaussian_moments` then shows what is left unresolved.  The weights
-    are on the scale of ``s_min`` and lose digits where they are subnormal, so
-    scales near the smallest normal float call for a rule built in a larger
-    unit.
+    part alone, or of it times ``(u / R)^2``, differ by more than its width
+    times the larger of 1e-15 of that integrand's largest magnitude and its
+    rounding level is halved, until none does or the rule would pass 8,192
+    panels; the error estimate of :func:`gaussian_moments` then shows what is
+    left unresolved.
     ``rounding``, if given, maps nodes to the rounding level of ``f`` there;
     a node carries ``rounding(u) + rounding(-u)``, and the halving test takes
     the largest such level (0 without it).  Scales more than
     ``MAX_SCALE_SPAN`` apart raise :class:`NumericalFailureError`.
 
-    Returns ``(|u|, column, weights, R)`` for the nodes out to ``12 s_max``,
-    sorted by ``|u|``: ``R`` is the power of two in ``(6 s_max, 12 s_max]``,
-    ``column`` is ``-(u / R)^2 / 2`` and ``weights`` is ``(n, 2k)``: the 32-node
+    Returns ``(|u|, column, weights, R, unit)`` for the nodes out to ``12
+    s_max``, sorted by ``|u|``: ``R`` is the power of two in ``(6 s_max, 12
+    s_max]``, ``unit`` the one in ``(s_min / 2, s_min]``, ``column`` is ``-(u /
+    R)^2 / 2`` and ``weights`` is ``(n, 2k)``, in units of ``unit`` so that
+    they stay normal floats down to the smallest normal ``s_min``: the 32-node
     rule's weights times the even part of ``f``, the 16-node rule's (each
     zero at the other rule's nodes) and, with ``rounding``, the 32-node
     weights times the folded rounding level, then the same ``k`` columns times
@@ -241,14 +245,21 @@ def panel_rule(f, kinks, s_min: float, s_max: float, rounding=None):
         raise NumericalFailureError(
             f"one u-rule cannot hold scales from {s_min:.3g} to {s_max:.3g}")
     extent = _TAIL_SCALES * s_max
-    edges = _panel_edges(s_min, extent, kinks)
+    unit = math.ldexp(0.5, math.frexp(s_min)[1])
+    reach = math.ldexp(0.5, math.frexp(extent)[1]) / unit
+    edges = _panel_edges(s_min, extent, kinks) / unit  # the layout in units, exactly
     while True:
         rules = [_panel_nodes(edges, n) for n in _PANEL_ORDERS]
-        values = [_even(f, u) for u, _ in rules]
-        sums = [np.sum(w * v, axis=1) for (_, w), v in zip(rules, values)]
-        scale = max(float(np.max(np.abs(v))) for v in values)
-        noise = 0.0 if rounding is None else max(float(np.max(_even(rounding, u))) for u, _ in rules)
-        unresolved = np.abs(sums[0] - sums[1]) > 1e-13 * np.diff(edges) * max(scale, 1e13 * noise)
+        values = [_even(f, u * unit) for u, _ in rules]
+        levels = [np.zeros(1) if rounding is None else _even(rounding, u * unit) for u, _ in rules]
+        unresolved = np.zeros(edges.size - 1, dtype=bool)
+        for power in (0, 2):  # the integrands of m_0 and m_2
+            factors = [(u / reach) ** power for u, _ in rules]
+            sums = [np.sum(w * v * q, axis=1) for (_, w), v, q in zip(rules, values, factors)]
+            scale = max(float(np.max(np.abs(v * q))) for v, q in zip(values, factors))
+            noise = max(float(np.max(e * q)) for e, q in zip(levels, factors))
+            unresolved |= (np.abs(sums[0] - sums[1])
+                           > np.diff(edges) * max(_HALVING_RTOL * scale, noise))
         if not unresolved.any() or edges.size + np.count_nonzero(unresolved) > _MAX_PANELS:
             break
         middles = 0.5 * (edges[1:] + edges[:-1])
@@ -261,32 +272,33 @@ def panel_rule(f, kinks, s_min: float, s_max: float, rounding=None):
     weights[:split, 0] = (w_32 * values[0]).ravel()
     weights[split:, 1] = (w_16 * values[1]).ravel()
     if rounding is not None:
-        weights[:split, 2] = (w_32 * _even(rounding, u_32)).ravel()
+        weights[:split, 2] = (w_32 * levels[0]).ravel()
     order = np.argsort(u, kind="stable")
-    abs_u = u[order]
-    kept = np.searchsorted(abs_u, extent, side="right")  # no scale of the rule reaches further
-    abs_u, weights = abs_u[:kept], weights[order[:kept]]
-    reach = math.ldexp(0.5, math.frexp(extent)[1])
-    ratio_sq = np.square(abs_u / reach)
+    u = u[order]
+    kept = np.searchsorted(u, extent / unit, side="right")  # no scale of the rule reaches further
+    u, weights = u[:kept], weights[order[:kept]]
+    ratio_sq = np.square(u / reach)
     np.multiply(weights[:, :columns], ratio_sq[:, None], out=weights[:, columns:])
-    return abs_u, -0.5 * ratio_sq, weights, reach
+    return u * unit, -0.5 * ratio_sq, weights, reach * unit, unit
 
 
 def gaussian_moments(abs_u: np.ndarray, column: np.ndarray, weights: np.ndarray,
-                     reach: float, scales: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                     reach: float, unit: float,
+                     scales: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Zeroth and second Gaussian moments of a :func:`panel_rule`, per scale.
 
     For each scale ``s > 0`` and each of the first ``k`` weight columns
-    ``w``, the moments are ``sum_j w_j phi(t_j) / s * (1, t_j^2)`` with
+    ``w``, the moments are ``sum_j w_j phi(t_j) unit / s * (1, t_j^2)`` with
     ``t_j = |u_j| / s`` and ``phi`` the standard normal density.  As
     ``t_j^2 = (R / s)^2 (u_j / R)^2``, a block of scales takes one outer
     product of ``(R / s)^2`` with ``column`` into its density buffer, one
     ``exp`` and one gemm against all ``2k`` columns; the second half comes
     out as ``sum_j w_j phi(t_j) (u_j / R)^2``, so it is scaled by ``(R / s)^2``
-    at the end.  A block holds as many scales as ``_DENSITY_FLOATS`` has rows
-    of the rule's nodes, and takes only the nodes within 12 of its largest
-    scale and past 1e-12 of its smallest.  Returns two ``(len(scales), k)``
-    arrays.
+    at the end.  Both halves take ``unit / s``, at most 1 for the rule's
+    scales, so no normalisation overflows near the smallest normal ``s``.  A
+    block holds as many scales as ``_DENSITY_FLOATS`` has rows of the rule's
+    nodes, and takes only the nodes within 12 of its largest scale and past
+    1e-12 of its smallest.  Returns two ``(len(scales), k)`` arrays.
     """
     moments = np.zeros((scales.size, weights.shape[1]))
     half = weights.shape[1] // 2
@@ -304,7 +316,7 @@ def gaussian_moments(abs_u: np.ndarray, column: np.ndarray, weights: np.ndarray,
                                       out=density[:s.size, :stop - start])
             np.exp(block, out=block)
             moments[lo:lo + rows] += block @ weights[start:stop]
-    norm = (1.0 / scales)[:, None] / np.sqrt(2.0 * np.pi)
+    norm = (unit / scales)[:, None] / np.sqrt(2.0 * np.pi)
     moments[:, :half] *= norm
     moments[:, half:] *= norm * ratio_sq[:, None]
     return moments[:, :half], moments[:, half:]

@@ -322,9 +322,10 @@ class TestGaussianMoments:
         assert_allclose(m2, expected, rtol=1e-14)
 
     def test_rule_layout(self):
-        abs_u, column, weights, reach = panel_rule(np.cos, [], 0.3, 2.0)
+        abs_u, column, weights, reach, unit = panel_rule(np.cos, [], 0.3, 2.0)
         assert np.all(np.diff(abs_u) >= 0.0)
         assert reach == 16.0  # the power of two in (6 s_max, 12 s_max]
+        assert unit == 0.25  # the power of two in (s_min / 2, s_min]
         assert_allclose(column, -0.5 * (abs_u / reach) ** 2, rtol=0, atol=0)
         assert weights.shape == (abs_u.size, 4)
         assert_allclose(weights[:, 2:], weights[:, :2] * (abs_u / reach)[:, None] ** 2, rtol=1e-15)
@@ -333,10 +334,10 @@ class TestGaussianMoments:
 
     def test_rounding_column(self):
         rounding = lambda u: 1e-20 * (1.0 + np.abs(u))  # noqa: E731
-        abs_u, _, weights, reach = panel_rule(np.cos, [], 0.5, 1.0, rounding)
+        abs_u, column, weights, reach, unit = panel_rule(np.cos, [], 0.5, 1.0, rounding)
         assert weights.shape == (abs_u.size, 6)
         assert np.all((weights[:, 2] == 0.0) == (weights[:, 0] == 0.0))
-        m0, m2 = gaussian_moments(abs_u, _, weights, reach, np.array([0.5, 1.0]))
+        m0, m2 = gaussian_moments(abs_u, column, weights, reach, unit, np.array([0.5, 1.0]))
         # E[1 + |u|] and E[t^2 (1 + |u|)] for u ~ N(0, s^2).
         s = np.array([0.5, 1.0])
         assert_allclose(m0[:, 2], 1e-20 * (1.0 + s * np.sqrt(2.0 / np.pi)), rtol=1e-13)
@@ -383,37 +384,46 @@ class TestGaussianMoments:
 
     @pytest.mark.parametrize("f, kinks, scales", SCAN_RULES, ids=SCAN_RULE_IDS)
     def test_matches_division_by_each_scale(self, f, kinks, scales):
-        abs_u, column, weights, reach = panel_rule(f, kinks, scales.min(), scales.max())
-        m0, m2 = gaussian_moments(abs_u, column, weights, reach, scales)
-        ref0, ref2 = _moments_by_division(abs_u, weights[:, :2], scales)
+        abs_u, column, weights, reach, unit = panel_rule(f, kinks, scales.min(), scales.max())
+        m0, m2 = gaussian_moments(abs_u, column, weights, reach, unit, scales)
+        ref0, ref2 = _moments_by_division(abs_u, weights[:, :2] * unit, scales)
         assert_allclose(m0, ref0, rtol=1e-13)
         assert_allclose(m2, ref2, rtol=1e-13)
 
     # The rule lives on u >= 0 and each node carries f(u) + f(-u).  ReLU on
     # U(-1, 2) has D = (relu(u + 2) - relu(u - 1)) / 3, with kinks at -2 and 1
-    # that fold to edges at 2 and 1, and no symmetry.  Scales reach up to 30,
-    # as far as the reference's t-panels resolve tanh's peak and the cos
-    # phase's D, which rounds at eps |u|.  The 16-node column is the error
-    # estimate: on the doubling panels the halving test lets it be off by
-    # 1e-13 of a panel's width times its largest |f| (1.9e-12 of tanh's
-    # moments at worst), against 1e-14 for the 32-node value.
+    # that fold to edges at 2 and 1, and no symmetry.
+    @pytest.mark.parametrize("f, kinks, scales", [
+        (_uniform_slope_sq(relu(), -1.0, 2.0), [-2.0, 1.0],
+         np.linspace(0.0, 10.0 * (1.0 + 3.0 / np.sqrt(12.0)), DEFAULT_SCAN_POINTS)[1:]),
+        *SCAN_RULES,
+    ], ids=["relu-minus-one-to-two", *SCAN_RULE_IDS])
+    def test_folded_rule_matches_two_sided(self, f, kinks, scales):
+        rule = panel_rule(f, kinks, scales.min(), scales.max())
+        assert np.all(rule[0] > 0.0)
+        m0, m2 = gaussian_moments(*rule, scales)
+        ref0, ref2 = _two_sided_moments(f, kinks, scales)
+        assert_allclose(m0, ref0[:, None] * [1.0, 1.0], rtol=1e-14)
+        assert_allclose(m2, ref2[:, None] * [1.0, 1.0], rtol=1e-14)
+
+    # The same over spans of up to 1e6 with scales up to 30, as far as the
+    # reference's t-panels resolve tanh's peak and the cos phase's D, which
+    # rounds at eps |u|.  Tanh's peak on a wide first panel, from s_min = 2.4
+    # up, is what set the halving test's 1e-15 and its test of f (u / R)^2.
     @pytest.mark.parametrize("f, kinks", [
         (_uniform_slope_sq(relu(), -1.0, 2.0), [-2.0, 1.0]),
         *(rule[:2] for rule in SCAN_RULES),
     ], ids=["relu-minus-one-to-two", *SCAN_RULE_IDS])
     @given(top=st.floats(-2.0, 1.5), decades=st.floats(0.0, 6.0))
-    @example(top=math.log10(20.025), decades=math.log10(20.025))  # the scan of relu and tanh
+    @example(top=math.log10(27.47), decades=math.log10(27.47 / 4.86))  # m_2 of tanh read 5e-14 off
     @settings(max_examples=25, deadline=None)
-    def test_folded_rule_matches_two_sided(self, f, kinks, top, decades):
+    def test_folded_rule_matches_two_sided_over_spans(self, f, kinks, top, decades):
         scales = np.geomspace(10.0 ** (top - decades), 10.0**top, 5)
         rule = panel_rule(f, kinks, scales.min(), scales.max())
-        assert np.all(rule[0] > 0.0)
         m0, m2 = gaussian_moments(*rule, scales)
         ref0, ref2 = _two_sided_moments(f, kinks, scales)
-        assert_allclose(m0[:, 0], ref0, rtol=1e-14)
-        assert_allclose(m2[:, 0], ref2, rtol=1e-14)
-        assert_allclose(m0[:, 1], ref0, rtol=1e-11)
-        assert_allclose(m2[:, 1], ref2, rtol=1e-11)
+        assert_allclose(m0, ref0[:, None] * [1.0, 1.0], rtol=1e-14)
+        assert_allclose(m2, ref2[:, None] * [1.0, 1.0], rtol=1e-14)
 
     # Edges at 0 and at s_min 2^k out to 12 s_max: 14 panels of 48 nodes for
     # the cos phase and 9 for ReLU and tanh, less the nodes past 12 s_max;
